@@ -3,7 +3,7 @@
 The series W reduces to the Bessel function of the first kind at
 q = 1, p = nu - 1, b = 2, c = 1, delta = 1, which makes J_nu an
 end-to-end cross-check for every other module. To keep that check
-honest, ``bessel_j`` shares no code with the log-space machinery: it
+honest, ``bessel_j`` shares no code with the series summation: it
 sums the ascending series in exact rational arithmetic (the alternating
 sum cancels heavily for larger x, where any double-precision summation
 would silently lose the digits this oracle is supposed to certify) and

@@ -121,13 +121,8 @@ def newton_power_sums(coeffs: Sequence[float], kmax: int) -> list[float]:
 
 def _normalized_coeffs(params: StruveParams, family: AuxiliaryFamily,
                        kmax: int) -> list[float]:
-    series = family_series(params, family)
-    s0, lg0 = series.term(0)
-    coeffs = [1.0]
-    for n in range(1, kmax + 1):
-        s, lg = series.term(n)
-        coeffs.append(s * s0 * math.exp(lg - lg0))
-    return coeffs
+    a = family_series(params, family).coefficients(kmax)
+    return [1.0] + [a_n / a[0] for a_n in a[1:]]
 
 
 def rayleigh_sums_newton(params: StruveParams, family: AuxiliaryFamily,

@@ -225,7 +225,7 @@ def _run_verify(args: argparse.Namespace) -> tuple[dict, int]:
         grid = load_grid(args.grid)
     if args.suite != "bessel" and not grid:
         raise ValueError("parameter grid is empty")
-    report = run_suite(args.suite, grid)
+    report = run_suite(args.suite, grid, args.count)
     checks = [
         {
             "name": c.name,

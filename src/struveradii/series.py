@@ -1,28 +1,35 @@
-"""Log-space power series with overflow-safe scaled evaluation.
+"""Power series summed by the exact ratio of consecutive coefficients.
 
-Coefficients such as c^n / (n! Gamma(q n + P)) span hundreds of orders of
-magnitude, so a series stores (sign, ln|a_n|) pairs instead of plain
-floats and every evaluation rescales terms by the running peak.
-Summation stops once the current term falls below 1e-16 of the largest
-partial sum seen, with at least MIN_TERMS terms always included; a hard
-cap guards against a runaway loop (it cannot trigger for finite
-arguments of the series used here, but is kept defensively).
+Every series of this package is a weighted gamma series
 
-Every double-precision sum carries a running error bound (Higham,
-*Accuracy and Stability of Numerical Algorithms*, ch. 4). A term built
-as exp(ln|a_n| + n ln u) is only as accurate as its logarithm, so its
-relative error is the absolute error of that logarithm: the coefficient
-function supplies the error of ln|a_n|, and the sum adds the error of
-n ln u, of the exponentials and rescalings, and of the additions. A sign
-counts as certain only where the value exceeds this bound
+    sum_n a_n u^n,   a_n = w(n) prod_(k<n) rho_k,
+    rho_n = s / (4 (n+1) prod_(j<q) (q n + j + P)),
+
+with a scale s and a weight w(n) that is a product of factors k + a (k
+an integer, a a double). Coefficients such as c^n / (n! Gamma(q n + P))
+span hundreds of orders of magnitude, so no table of them is kept: a
+series stores the ratios rho_n and the weights w(n), and each sum runs
+the recurrence t_(n+1) = t_n rho_n u, applying the weight per term so
+that a zero weight stays exact. The running term is rescaled by powers
+of two, so no finite argument can overflow a sum. Summation stops once
+the current term falls below a fixed share of the largest partial sum
+seen, with at least MIN_TERMS terms always included; a hard cap guards
+against a runaway loop.
+
+Every sum carries a running error bound (Higham, *Accuracy and Stability
+of Numerical Algorithms*, ch. 4): each term is off by at most the
+roundings behind it (those of its ratios and multiplications, and of its
+weight) times the unit roundoff, each addition by the unit roundoff times
+the partial sum, and the truncated tail is bounded by the last term kept.
+A sign counts as certain only where the value exceeds this bound
 (``ScaledValue.certain_sign``); elsewhere callers re-sum with the
-double-double primitives below.
+double-double walk (Dekker 1971) of the same recurrence,
+``LogSeries.eval_compensated``, in which every factor is formed exactly.
 """
 
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass
 from typing import Callable
 
@@ -33,9 +40,10 @@ from .errors import ConvergenceError
 MIN_TERMS = 8
 MAX_TERMS = 10_000
 
-_CUTOFF = 1e-16                      # scalar rule: term vs peak partial sum
-_LOG_CUTOFF_BLOCK = math.log(1e-18)  # block rule: term vs peak term
-_NEG_INF = float("-inf")
+_CUTOFF = 1e-16     # double sums: last term vs peak partial sum
+_DD_CUTOFF = 1e-34  # double-double sums
+_BIG = 2.0 ** 512   # a running term past this is rescaled
+_BLOCK_ROWS = 32    # terms per reduction of a block's error bound
 
 # Unit roundoff of a double, and a bound on the relative error of one
 # double-double operation (2^-104 up to the small constants of the
@@ -45,13 +53,6 @@ DD_UNIT_ERROR = 2.0 ** -100
 
 # ---------------------------------------------------------------------------
 # Double-double helpers (error-free transformations).
-#
-# Summing through exp(log) limits a term's relative accuracy to roughly
-# |log| * eps, which the heavily cancelling evaluations near deep zeros
-# amplify by the peak-to-value ratio. Where the error bound of the double
-# sum cannot certify a sign, callers re-sum with ~32-digit double-double
-# arithmetic built from the exact coefficient ratios; these are the
-# primitives for that path.
 
 _SPLITTER = 134217729.0  # 2**27 + 1
 
@@ -116,17 +117,17 @@ def dd_div_sum(xh: float, xl: float, a: float, b: float) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class ScaledValue:
-    """A number in the form mantissa * exp(log_scale).
+    """A number in the form mantissa * 2**exponent.
 
-    ``peak_log`` is ln of the largest partial-sum magnitude seen while
-    summing; a residual near a zero of the series is only meaningful
-    relative to exp(peak_log). ``error`` bounds the distance of the
+    ``peak`` is the largest partial-sum magnitude seen while summing, in
+    the units of the mantissa; a residual near a zero of the series is
+    only meaningful relative to it. ``error`` bounds the distance of the
     mantissa from that of the exact sum, in the same units.
     """
 
     mantissa: float
-    log_scale: float
-    peak_log: float
+    exponent: int
+    peak: float
     terms: int
     error: float
 
@@ -143,20 +144,11 @@ class ScaledValue:
         """The sign when the error bound certifies it, otherwise 0."""
         return self.sign if abs(self.mantissa) > self.error else 0
 
-    @property
-    def value(self) -> float:
-        if self.mantissa == 0.0:
-            return 0.0
-        try:
-            return self.mantissa * math.exp(self.log_scale)
-        except OverflowError:
-            return math.copysign(math.inf, self.mantissa)
-
     def over_peak(self) -> float:
-        """Value divided by the peak partial-sum scale."""
+        """Value divided by the peak partial-sum magnitude."""
         if self.mantissa == 0.0:
             return 0.0
-        return self.mantissa * math.exp(self.log_scale - self.peak_log)
+        return self.mantissa / self.peak
 
 
 def scaled_ratio(num: ScaledValue, den: ScaledValue) -> float:
@@ -166,138 +158,225 @@ def scaled_ratio(num: ScaledValue, den: ScaledValue) -> float:
             return math.nan
         return math.copysign(math.inf, num.mantissa)
     q = num.mantissa / den.mantissa
-    if q == 0.0:
-        return 0.0
     try:
-        return q * math.exp(num.log_scale - den.log_scale)
+        return math.ldexp(q, num.exponent - den.exponent)
     except OverflowError:
         return math.copysign(math.inf, q)
 
 
 class LogSeries:
-    """Power series sum_{n>=0} a_n u^n with lazily generated log coefficients.
+    """Power series sum_n a_n u^n kept as a table of coefficient ratios.
 
-    ``coeff_fn(n)`` must return ``(sign, ln|a_n|, err)`` with sign in
-    {-1, 0, 1} and err a bound on the absolute error of ln|a_n|; zero
-    coefficients use ``(0, -inf, 0.0)``.
+    ``scale`` is s, ``q`` and ``shift`` give the gamma factors q n + j + P
+    of rho_n, and ``weight(n)`` returns the factors (k, a) of w(n). The
+    double-double sum takes ``scale`` as exact, so it must be the series'
+    constant itself, not a rounded product.
+
+    The class is named for the log-space coefficients it stored before the
+    ratio table replaced them; the name stays because callers and the
+    benchmark's tracer look it up, together with ``eval_scaled`` and
+    ``eval_block``.
     """
 
-    def __init__(self, coeff_fn: Callable[[int], tuple[int, float, float]], label: str = ""):
-        self._fn = coeff_fn
-        self._signs: list[int] = []
-        self._logs: list[float] = []
-        self._errs = array("d")  # packed: one per coefficient of every cached carrier
+    def __init__(self, scale: float, q: int, shift: float,
+                 weight: Callable[[int], tuple[tuple[float, float], ...]],
+                 label: str = ""):
+        self._scale = scale
+        self._q = q
+        self._shift = shift
+        self._weight = weight
         self.label = label
+        self._ratios: list[float] = []
+        self._weights: list[float] = []
+        # Roundings behind a term: 2q + 1 in each ratio (q sums, q - 1
+        # products, the factor 4(n+1) and the division) and 2 in applying
+        # it to the running term, plus 2 per weight factor (its sum, its
+        # product or the final multiplication).
+        self._step_ops = 2 * q + 3
+        self._weight_ops = 2 * len(weight(0))
 
-    def term(self, n: int) -> tuple[int, float]:
-        while len(self._signs) <= n:
-            s, lg, err = self._fn(len(self._signs))
-            self._signs.append(s)
-            self._logs.append(lg)
-            self._errs.append(err)
-        return self._signs[n], self._logs[n]
+    def _grow(self, size: int) -> None:
+        """Extend the ratio and weight tables to ``size`` entries."""
+        q, shift = self._q, self._shift
+        for n in range(len(self._weights), size):
+            w = 1.0
+            for k, a in self._weight(n):
+                w *= k + a
+            self._weights.append(w)
+            d = 4.0 * (n + 1)
+            for j in range(q):
+                d *= q * n + j + shift
+            self._ratios.append(self._scale / d)
 
-    def eval_scaled(self, u: float) -> ScaledValue:
-        """Sum the series at u >= 0 with peak rescaling and an error bound."""
-        u = float(u)
-        if not (math.isfinite(u) and u >= 0.0):
-            raise ValueError(f"series argument must be finite and >= 0, got {u!r}")
-        if u == 0.0:
-            s0, lg0 = self.term(0)
-            return ScaledValue(float(s0), lg0, lg0, 1, self._errs[0])
+    def coefficients(self, k: int) -> list[float]:
+        """a_0 .. a_k as doubles."""
+        self._grow(k + 1)
+        out = []
+        b = 1.0
+        for n in range(k + 1):
+            out.append(b * self._weights[n])
+            b *= self._ratios[n]
+        return out
 
-        lnu = math.log(u)
-        lnu_err = 4.0 * UNIT_ROUNDOFF * abs(lnu)  # per power of u in n ln u
-        signs, logs, errs = self._signs, self._logs, self._errs
-        mant = 0.0
-        scale = _NEG_INF
-        peak = 0.0      # largest |partial sum|, in units of exp(scale)
-        total = 0.0     # sum of |terms|
-        weighted = 0.0  # sum of |term| * (error of its logarithm)
-        e = 0.0
+    def _sum(self, u: float) -> ScaledValue:
+        """eval_scaled without its argument check. eval_block calls this for
+        its term count, so that wherever calls of eval_scaled are counted, a
+        block counts as one evaluation."""
+        ratios, weights = self._ratios, self._weights
+        step, ops = self._step_ops, self._weight_ops
+        t = 1.0         # prod_(k<n) rho_k u^n, in units of 2**exponent
+        s = 0.0
+        exponent = 0
+        peak = 0.0      # largest |partial sum|
+        bound = 0.0     # sum of |term| * roundings behind it and |partial sums|
+        a = 0.0
         n = 0
         while True:
-            if n >= len(signs):
-                self.term(n)
-            sg = signs[n]
-            done = False
-            if sg != 0:
-                term_log = logs[n] + n * lnu
-                if term_log > scale:
-                    f = math.exp(scale - term_log)
-                    mant *= f
-                    peak *= f
-                    total *= f
-                    weighted *= f
-                    scale = term_log
-                    e = 1.0
-                else:
-                    e = math.exp(term_log - scale)
-                mant += sg * e
-                total += e
-                weighted += e * (errs[n] + n * lnu_err)
-                a = abs(mant)
-                if a > peak:
-                    peak = a
-                done = n + 1 >= MIN_TERMS and e < _CUTOFF * peak
+            if n == len(weights):
+                self._grow(n + MIN_TERMS)
+            w = weights[n]
+            if w:
+                term = t * w
+                s += term
+                a = abs(term)
+                m = abs(s)
+                if m > peak:
+                    peak = m
+                bound += a * ops + m
+                if n + 1 >= MIN_TERMS and a <= _CUTOFF * peak:
+                    break
+            t *= ratios[n] * u
+            ops += step
+            if not -_BIG < t < _BIG:
+                if not math.isfinite(t):
+                    raise ConvergenceError(
+                        f"series {self.label or '<anonymous>'} overflowed at u={u!r}")
+                t, k = math.frexp(t)
+                s = math.ldexp(s, -k)
+                peak = math.ldexp(peak, -k)
+                bound = math.ldexp(bound, -k)
+                exponent += k
             n += 1
-            if done:
-                break
             if n >= MAX_TERMS:
                 raise ConvergenceError(
                     f"series {self.label or '<anonymous>'} needed more than "
                     f"{MAX_TERMS} terms at u={u!r}"
                 )
-        # Each term passes through at most n rescalings and additions and
-        # one exponential (4n + 2 roundings, to first order); the
-        # truncated tail is bounded by the last term kept.
-        error = weighted + (4 * n + 2) * UNIT_ROUNDOFF * total + e
-        peak_log = scale + math.log(peak) if peak > 0.0 else scale
-        return ScaledValue(mant, scale, peak_log, n, error)
+        return ScaledValue(s, exponent, peak, n + 1, UNIT_ROUNDOFF * bound + a)
+
+    def eval_scaled(self, u: float) -> ScaledValue:
+        """Sum the series at u >= 0 in double, with an error bound."""
+        u = float(u)
+        if not (math.isfinite(u) and u >= 0.0):
+            raise ValueError(f"series argument must be finite and >= 0, got {u!r}")
+        return self._sum(u)
 
     def eval_block(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Vectorized evaluation at an array of positive arguments.
+        """The recurrence of eval_scaled, vectorized over positive arguments.
 
-        Returns (mantissa, log_scale, error) per point, with the error
-        bound of eval_scaled. The truncation order is chosen from the
-        largest argument with a stricter cutoff than the scalar path.
+        Returns (mantissa, exponent, error) per point, with the error bound
+        of eval_scaled. Every point sums as many terms as eval_scaled takes
+        at the largest argument; the terms of smaller arguments fall faster.
         """
         u = np.asarray(u, dtype=float)
         if u.size == 0:
-            return np.empty(0), np.empty(0), np.empty(0)
-        if np.any(u <= 0.0) or not np.all(np.isfinite(u)):
+            return np.empty(0), np.empty(0, dtype=int), np.empty(0)
+        u_max = float(u.max())
+        if not (u.min() > 0.0 and math.isfinite(u_max)):
             raise ValueError("block arguments must be finite and > 0")
-        lnu = np.log(u)
-        nterms = self._block_terms(float(lnu.max()))
-        signs = np.asarray(self._signs[:nterms], dtype=float)
-        logs = np.asarray(self._logs[:nterms], dtype=float)
-        errs = np.asarray(self._errs[:nterms], dtype=float)
-        order = np.arange(nterms, dtype=float)
-        with np.errstate(invalid="ignore"):
-            term_logs = logs[:, None] + order[:, None] * lnu[None, :]
-        term_logs[np.isnan(term_logs)] = _NEG_INF  # 0 coefficient times log
-        scale = term_logs.max(axis=0)
-        terms = np.exp(term_logs - scale[None, :])
-        mant, total, weighted, powers = (
-            np.stack((signs, np.ones(nterms), errs, order)) @ terms)
-        error = (weighted + 4.0 * UNIT_ROUNDOFF * np.abs(lnu) * powers
-                 + (4 * nterms + 2) * UNIT_ROUNDOFF * total + terms[-1])
-        return mant, scale, error
+        nterms = self._sum(u_max).terms
+        ratios, weights = self._ratios, self._weights
+        t = np.ones_like(u)
+        s = np.zeros_like(u)
+        bound = np.zeros_like(u)
+        exponent = np.zeros(u.shape, dtype=int)
+        tmp = np.empty_like(u)
+        # Rows of |term| and |partial sum|, reduced into the bound with
+        # their roundings (and 1) as weights once the buffer fills.
+        rows = np.empty((2 * _BLOCK_ROWS, u.size))
+        ops = np.empty(2 * _BLOCK_ROWS)
+        i = 0
+        room = 1.0  # bounds |t| at every point
+        for n in range(nterms):
+            if n:
+                r = ratios[n - 1]
+                np.multiply(u, r, out=tmp)
+                t *= tmp
+                room *= abs(r) * u_max
+                if room > _BIG:
+                    if not np.all(np.isfinite(t)):
+                        raise ConvergenceError(
+                            f"series {self.label or '<anonymous>'} overflowed at u={u_max!r}")
+                    bound += ops[:i] @ rows[:i]
+                    i = 0
+                    k = np.maximum(np.frexp(t)[1], 0)
+                    t = np.ldexp(t, -k)
+                    s = np.ldexp(s, -k)
+                    bound = np.ldexp(bound, -k)
+                    exponent += k
+                    room = 1.0
+            w = weights[n]
+            if w:
+                term = t if w == 1.0 else np.multiply(t, w, out=tmp)
+                s += term
+                np.abs(term, out=rows[i])
+                np.abs(s, out=rows[i + 1])
+                ops[i] = self._weight_ops + n * self._step_ops
+                ops[i + 1] = 1.0
+                i += 2
+                if i == len(ops):
+                    bound += ops @ rows
+                    i = 0
+        bound += ops[:i] @ rows[:i]
+        error = UNIT_ROUNDOFF * bound + np.abs(t) * abs(weights[nterms - 1])
+        return s, exponent, error
 
-    def _block_terms(self, lnu_max: float) -> int:
-        best = _NEG_INF
+    def eval_compensated(self, u: float) -> ScaledValue:
+        """Double-double sum at u > 0, with an error bound.
+
+        The result has exponent 0: its mantissa is the value rounded to a
+        double, and its error bounds the distance from the exact sum. Every
+        factor of the ratios and weights is formed exactly from doubles, so
+        the error comes from the double-double operations alone: q + 2 per
+        step of the recurrence, one per weight factor and one per addition.
+        """
+        u = float(u)
+        if not (math.isfinite(u) and u > 0.0):
+            raise ValueError(f"series argument must be finite and > 0, got {u!r}")
+        q, shift = self._q, self._shift
+        zh, zl = _two_prod(self._scale, u)
+        bh, bl = 1.0, 0.0  # prod_(k<n) rho_k u^n
+        sh, sl = 0.0, 0.0
+        peak = 0.0
+        weighted = 0.0  # sum of |term| * operations behind it, plus |partial sums|
         n = 0
         while True:
-            sg, lg = self.term(n)
-            if sg != 0:
-                term_log = lg + n * lnu_max
-                if term_log > best:
-                    best = term_log
-                if n + 1 >= MIN_TERMS and term_log < best + _LOG_CUTOFF_BLOCK:
-                    return n + 1
+            th, tl = bh, bl
+            ops = n * (q + 2) + 1
+            for k, a in self._weight(n):
+                th, tl = dd_mul_sum(th, tl, k, a)
+                ops += 1
+            sh, sl = dd_add(sh, sl, th, tl)
+            mag = abs(sh)
+            if mag > peak:
+                peak = mag
+            weighted += abs(th) * ops + mag
+            if n + 1 >= MIN_TERMS and abs(th) <= _DD_CUTOFF * peak:
+                break
+            bh, bl = dd_mul(bh, bl, zh, zl)
+            bh, bl = dd_div_d(bh, bl, 4.0 * (n + 1.0))
+            for j in range(q):
+                bh, bl = dd_div_sum(bh, bl, q * n + j, shift)
+            if not math.isfinite(bh):
+                raise ConvergenceError(
+                    f"compensated evaluation of {self.label} overflowed at u={u!r}"
+                )
             n += 1
             if n >= MAX_TERMS:
                 raise ConvergenceError(
-                    f"series {self.label or '<anonymous>'} needed more than "
-                    f"{MAX_TERMS} terms at ln(u)={lnu_max!r}"
+                    f"compensated evaluation of {self.label} needed more than "
+                    f"{MAX_TERMS} terms at u={u!r}"
                 )
+        # The mantissa drops the low part of the sum.
+        error = DD_UNIT_ERROR * weighted + 2.0 * abs(th) + abs(sl)
+        return ScaledValue(sh, 0, peak, n + 1, error)

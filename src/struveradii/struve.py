@@ -18,12 +18,13 @@ Everything reduces to weighted variants of the core series
     beta_n = (-1)^n c^n Gamma(P) / (4^n n! Gamma(q n + P)),
 
 for which  2^(p+1) Gamma(P) W(x) = x^(p+1) S(x^2),  g(x) = x S(x^2) and
-h(x) = x S(x).  The carriers keep log-space coefficients, so no
-admissible parameter choice can overflow an evaluation, and each
-coefficient carries a bound on the error of its logarithm, so that every
-double-precision sum comes with an error bound (see ``series``). Where
-that bound does not settle a result, the same series is re-summed in
-double-double arithmetic (``compensated_carrier_value``).
+h(x) = x S(x).  Each carrier is a table of the exact ratios
+beta_(n+1) / beta_n = -c / (4 (n+1) prod_j (q n + j + P)) and of its
+weights, summed by one recurrence that rescales by powers of two, so no
+admissible parameter choice can overflow an evaluation, and every
+double-precision sum comes with a running error bound (see ``series``).
+Where that bound does not settle a result, the same recurrence is
+re-summed in double-double arithmetic (``compensated_carrier_value``).
 
 Only the positive real axis is supported: every radius computed
 downstream is the smallest positive root of a real equation. For
@@ -38,22 +39,9 @@ from enum import Enum
 from functools import lru_cache
 from typing import Callable
 
-from .errors import BranchError, ConvergenceError, PoleError
+from .errors import BranchError, PoleError
 from .gammafn import log_gamma
-from .series import (
-    DD_UNIT_ERROR,
-    MAX_TERMS,
-    MIN_TERMS,
-    UNIT_ROUNDOFF,
-    LogSeries,
-    ScaledValue,
-    dd_add,
-    dd_div_d,
-    dd_div_sum,
-    dd_mul,
-    dd_mul_sum,
-    scaled_ratio,
-)
+from .series import LogSeries, ScaledValue, scaled_ratio
 
 __all__ = [
     "StruveParams",
@@ -66,13 +54,6 @@ __all__ = [
 ]
 
 _LN2 = math.log(2.0)
-_LN4 = math.log(4.0)
-_NEG_INF = float("-inf")
-# Error of one coefficient's logarithm per unit of the magnitudes summed
-# into it: the platform lgamma is within 2.5 eps (|lgamma(x)| + 1) of the
-# exact value, and rounding q n + P moves lgamma by at most
-# u (|lgamma(x)| + x + 1).
-_LOG_ERR = 8.0 * UNIT_ROUNDOFF
 # eval_w re-sums in double-double when its double error bound exceeds
 # this share of the value.
 _EVAL_W_REL = 1e-12
@@ -172,96 +153,31 @@ _WEIGHTS: dict[str, tuple[float, Callable[[float, int], tuple[tuple[float, float
 }
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def carrier(params: StruveParams, key: str) -> LogSeries:
-    """The log-space series sum_n beta_n * weight(n) * u^n for a weight key."""
+    """The series sum_n beta_n * s^n * weight(n) * u^n for a weight key.
+
+    The cache keeps the most recent 4096 series, the carriers of several
+    hundred parameter points.
+    """
     base, factors = _WEIGHTS[key]
     p = params.p
-    q = params.q
-    shift = params.gamma_shift
-    ln_c = math.log(params.c) - _LN4 + math.log(base)
-    ln_c_err = abs(math.log(params.c)) + _LN4 + math.log(base)
-    lg_shift = log_gamma(shift)
-
-    def coeff(n: int) -> tuple[int, float, float]:
-        weight = 1.0
-        for k, a in factors(p, n):
-            weight *= k + a
-        if weight == 0.0:
-            return 0, _NEG_INF, 0.0
-        lw = math.log(abs(weight))
-        lg_fact = log_gamma(n + 1.0)
-        lg_arg = log_gamma(q * n + shift)
-        sign = (-1 if n % 2 else 1) * (1 if weight > 0.0 else -1)
-        lg = n * ln_c + lg_shift - lg_fact - lg_arg + lw
-        err = _LOG_ERR * (n * ln_c_err + abs(lg_shift) + lg_fact + abs(lg_arg)
-                          + q * n + shift + abs(lw) + 8.0)
-        return sign, lg, err
-
-    return LogSeries(coeff, label=f"{key}[q={q},p={p},b={params.b},c={params.c},delta={params.delta}]")
+    return LogSeries(-params.c * base, params.q, params.gamma_shift,
+                     lambda n: factors(p, n),
+                     label=f"{key}[q={params.q},p={p},b={params.b},c={params.c},delta={params.delta}]")
 
 
 def compensated_carrier_value(params: StruveParams, key: str, u: float) -> ScaledValue:
-    """Double-double sum of a carrier series at u > 0, with an error bound.
-
-    The result has log_scale 0: its mantissa is the value rounded to a
-    double, and its error bounds the distance from the exact sum. The coefficients follow
-    the exact recurrence
-    beta_(n+1) u / beta_n = -c u / (4 (n+1) prod_j (qn+P+j)), and every
-    factor of it and of the weight is formed exactly from doubles, so the
-    error comes from the double-double operations alone: (q + 2) per step
-    of the recurrence, one per weight factor and one per addition.
-    """
-    base, factors = _WEIGHTS[key]
-    p, q, shift = params.p, params.q, params.gamma_shift
-    u = float(u)
-    if not (math.isfinite(u) and u > 0.0):
-        raise ValueError(f"series argument must be finite and > 0, got {u!r}")
-
-    zh, zl = dd_mul(-params.c, 0.0, base * u, 0.0)
-    bh, bl = 1.0, 0.0  # beta_n (base u)^n
-    sh, sl = 0.0, 0.0
-    peak = 0.0
-    weighted = 0.0  # sum of |term| * operations behind it, plus |partial sums|
-    n = 0
-    while True:
-        th, tl = bh, bl
-        ops = n * (q + 2) + 1
-        for k, a in factors(p, n):
-            th, tl = dd_mul_sum(th, tl, k, a)
-            ops += 1
-        sh, sl = dd_add(sh, sl, th, tl)
-        mag = abs(sh)
-        if mag > peak:
-            peak = mag
-        weighted += abs(th) * ops + mag
-        if n + 1 >= MIN_TERMS and abs(th) < 1e-34 * peak:
-            break
-        bh, bl = dd_mul(bh, bl, zh, zl)
-        bh, bl = dd_div_d(bh, bl, 4.0 * (n + 1.0))
-        for j in range(q):
-            bh, bl = dd_div_sum(bh, bl, q * n + j, shift)
-        if not math.isfinite(bh):
-            raise ConvergenceError(
-                f"compensated evaluation of {key} overflowed at u={u!r}"
-            )
-        n += 1
-        if n >= MAX_TERMS:
-            raise ConvergenceError(
-                f"compensated evaluation of {key} needed more than "
-                f"{MAX_TERMS} terms at u={u!r}"
-            )
-    # The mantissa drops the low part of the sum.
-    error = DD_UNIT_ERROR * weighted + 2.0 * abs(th) + abs(sl)
-    peak_log = math.log(peak) if peak > 0.0 else _NEG_INF
-    return ScaledValue(sh, 0.0, peak_log, n + 1, error)
+    """Double-double sum of a carrier series at u > 0, with an error bound
+    (``LogSeries.eval_compensated``)."""
+    return carrier(params, key).eval_compensated(u)
 
 
 def _apply_log_prefactor(sv: ScaledValue, ln_pref: float) -> float:
     if sv.mantissa == 0.0:
         return 0.0
     try:
-        return sv.mantissa * math.exp(sv.log_scale + ln_pref)
+        return sv.mantissa * math.exp(sv.exponent * _LN2 + ln_pref)
     except OverflowError:
         return math.copysign(math.inf, sv.mantissa)
 
@@ -309,7 +225,7 @@ def eval_normalized(params: StruveParams, kind: NormalizationKind, x: float) -> 
             f"the (p+1)-th root needs 2^(p+1) Gamma(P) W(x) > 0, "
             f"violated at x={x} for {params}"
         )
-    ln_core = sv.log_scale + math.log(sv.mantissa)
+    ln_core = sv.exponent * _LN2 + math.log(sv.mantissa)
     try:
         return x * math.exp(ln_core / (params.p + 1.0))
     except OverflowError:

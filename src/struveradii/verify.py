@@ -215,14 +215,15 @@ def bessel_suite(nus: Iterable[float] = _BESSEL_NUS) -> SuiteReport:
     return SuiteReport("bessel", tuple(checks))
 
 
-def run_suite(suite: str, grid: Sequence[StruveParams]) -> SuiteReport:
-    """Run one named suite (or all of them) over the grid."""
+def run_suite(suite: str, grid: Sequence[StruveParams], count: int = 5) -> SuiteReport:
+    """Run one named suite (or all of them) over the grid; ``count`` is the
+    number of zeros per point the interlacing suite checks."""
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}, expected one of {SUITES}")
     if suite != "bessel" and not grid:
         raise ValueError("parameter grid is empty")
     if suite == "interlacing":
-        return interlacing_suite(grid)
+        return interlacing_suite(grid, count)
     if suite == "sandwich":
         return sandwich_suite(grid)
     if suite == "bessel":
@@ -231,5 +232,5 @@ def run_suite(suite: str, grid: Sequence[StruveParams]) -> SuiteReport:
         return monotone_suite(grid)
     checks: tuple[CheckResult, ...] = ()
     for name in ("interlacing", "sandwich", "bessel", "monotone"):
-        checks += run_suite(name, grid).checks
+        checks += run_suite(name, grid, count).checks
     return SuiteReport("all", checks)

@@ -110,7 +110,7 @@ class InterlacingReport:
 
 
 def family_series(params: StruveParams, family: AuxiliaryFamily) -> LogSeries:
-    """The log-space series whose positive roots are the family's zeros.
+    """The series whose positive roots are the family's zeros.
 
     For W and W_PRIME the zeros quoted by find_zeros are the square roots
     of this series' roots in u.
@@ -169,7 +169,8 @@ def _scan(series: LogSeries, family: AuxiliaryFamily, count: int,
     brackets: list[tuple[float, float]] = []
     residuals: list[float] = []
     t_lo = 0.0
-    sign_lo = series.term(0)[0]
+    a0 = series.coefficients(0)[0]
+    sign_lo = (a0 > 0.0) - (a0 < 0.0)
     if sign_lo == 0:
         raise NumericalError("scan requires a nonzero leading coefficient")
     step = step0
@@ -229,21 +230,17 @@ def _scan(series: LogSeries, family: AuxiliaryFamily, count: int,
     return zeros, brackets, residuals
 
 
-def _alternates(found: list[float], reference: tuple[float, ...]) -> bool:
-    """True when the two sequences strictly alternate along the axis."""
-    if not found or not reference:
-        return True
-    if found[0] < reference[0]:
-        first, second = found, list(reference)
-    else:
-        first, second = list(reference), found
+def _first_violation(first: tuple[float, ...] | list[float],
+                     second: tuple[float, ...] | list[float]) -> int | None:
+    """1-based index of the first pair that breaks first_1 < second_1 <
+    first_2 < second_2 < ... over the common length, or None."""
     n = min(len(first), len(second))
     for i in range(n):
         if not first[i] < second[i]:
-            return False
+            return i + 1
         if i + 1 < len(first) and not second[i] < first[i + 1]:
-            return False
-    return True
+            return i + 2
+    return None
 
 
 @lru_cache(maxsize=4096)
@@ -253,7 +250,12 @@ def _find_zeros_cached(params: StruveParams, family: AuxiliaryFamily, count: int
     for attempt in range(_MAX_RESCANS):
         step = INITIAL_STEP / (2.0 ** attempt)
         zeros, brackets, residuals = _scan(series, family, count, step, params)
-        if reference is None or _alternates(zeros, reference):
+        ok = reference is None or not reference
+        if not ok:
+            # Either sequence may come first along the axis.
+            pair = (zeros, reference) if zeros[0] < reference[0] else (reference, zeros)
+            ok = _first_violation(*pair) is None
+        if ok:
             return ZeroSequence(
                 family=family,
                 params=params,
@@ -295,7 +297,6 @@ def find_zeros(params: StruveParams, family: AuxiliaryFamily, count: int,
     return _find_zeros_cached(params, family, count, ref)
 
 
-@lru_cache(maxsize=4096)
 def first_zero(params: StruveParams, family: AuxiliaryFamily) -> float:
     """The smallest positive zero; used as a search limit by the solvers."""
     return find_zeros(params, family, 1).zeros[0]
@@ -313,10 +314,5 @@ def check_interlacing(a: ZeroSequence, b: ZeroSequence) -> InterlacingReport:
         )
     if a.params != b.params:
         raise ValueError("zero sequences belong to different parameter sets")
-    n = len(a.zeros)
-    for i in range(n):
-        if not a.zeros[i] < b.zeros[i]:
-            return InterlacingReport(False, i + 1)
-        if i + 1 < n and not b.zeros[i] < a.zeros[i + 1]:
-            return InterlacingReport(False, i + 2)
-    return InterlacingReport(True, None)
+    violation = _first_violation(a.zeros, b.zeros)
+    return InterlacingReport(violation is None, violation)

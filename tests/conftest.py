@@ -1,7 +1,8 @@
 """Shared high-precision oracles for the test suite.
 
 The reference evaluator sums the defining series with mpmath at 40+
-digits, entirely independent of the package's log-space machinery.
+digits from gamma functions, entirely independent of the package's
+ratio-recurrence summation.
 """
 
 from __future__ import annotations

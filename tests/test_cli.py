@@ -150,3 +150,18 @@ def test_verify_with_grid_file(tmp_path, capsys):
     empty = tmp_path / "empty.json"
     empty.write_text("[]")
     assert main(["verify", "--suite", "interlacing", "--grid", str(empty)]) == 2
+
+
+def test_verify_count_reaches_interlacing(tmp_path, capsys):
+    # Only 28 zeros of W lie below the scan limit at this point, so 29
+    # must fail with a numerical error while 5 pass.
+    grid = tmp_path / "sparse.json"
+    grid.write_text(json.dumps([
+        {"q": 3, "p": 0.5, "b": 1.0, "c": 1e-4, "delta": 1.0},
+    ]))
+    args = ["verify", "--suite", "interlacing", "--grid", str(grid)]
+    code, _ = run_cli(capsys, *args, "--count", "29")
+    assert code == 3
+    code, out = run_cli(capsys, *args, "--count", "5")
+    assert code == 0
+    assert "[PASS]" in out

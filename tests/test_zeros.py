@@ -4,6 +4,7 @@ import mpmath as mp
 import pytest
 
 from struveradii import (
+    NumericalError,
     ScanOverflowError,
     StruveParams,
     check_interlacing,
@@ -102,6 +103,13 @@ class TestInterlacing:
         w3 = find_zeros(bessel_params, AuxiliaryFamily.W, 3)
         with pytest.raises(ValueError):
             check_interlacing(w2, w3)
+
+    def test_reference_never_interlaced_raises(self, bessel_params):
+        # A sequence cannot interlace itself, so every half-step rescan
+        # fails and the search gives up.
+        wp = find_zeros(bessel_params, AuxiliaryFamily.W_PRIME, 3)
+        with pytest.raises(NumericalError, match="half-step rescans"):
+            find_zeros(bessel_params, AuxiliaryFamily.W_PRIME, 3, reference=wp)
 
     def test_q2_case_against_fine_scan(self):
         # five zeros, independently confirmed by a high-precision sign scan

@@ -19,7 +19,7 @@ from fractions import Fraction
 from .bounds import BoundsPair, BoundRadiusKind
 from .errors import ConvergenceError, ScanOverflowError
 from .struve import StruveParams
-from .zeros import AuxiliaryFamily
+from .zeros import AuxiliaryFamily, _polish
 
 __all__ = [
     "bessel_j",
@@ -82,8 +82,9 @@ def bessel_j(nu: float, x: float) -> float:
 def bessel_j_zeros(nu: float, count: int) -> tuple[float, ...]:
     """The first ``count`` positive zeros of J_nu by scan and bisection.
 
-    Works entirely on the oracle series, so it is an independent check
-    for the zero finder of the main family.
+    Its signs come from the oracle series alone (the bisection is the shared
+    ``zeros._polish``), so it is an independent check for the zero finder
+    of the main family.
     """
     nu = _check_order(nu)
     if not isinstance(count, int) or count < 1:
@@ -101,15 +102,8 @@ def bessel_j_zeros(nu: float, count: int) -> tuple[float, ...]:
             )
         f = bessel_j(nu, t)
         if (f_prev > 0.0) != (f > 0.0):
-            lo, hi = t - step, t
-            f_lo = f_prev
-            while hi - lo > 1e-13 * (1.0 + hi):
-                mid = 0.5 * (lo + hi)
-                fm = bessel_j(nu, mid)
-                if (fm > 0.0) == (f_lo > 0.0):
-                    lo, f_lo = mid, fm
-                else:
-                    hi = mid
+            lo, hi, _ = _polish(lambda x: 1 if bessel_j(nu, x) > 0.0 else -1,
+                                t - step, t, 1 if f_prev > 0.0 else -1, 1e-13)
             zeros.append(0.5 * (lo + hi))
         t_prev, f_prev = t, f
     return tuple(zeros)

@@ -122,7 +122,11 @@ def newton_power_sums(coeffs: Sequence[float], kmax: int) -> list[float]:
 def _normalized_coeffs(params: StruveParams, family: AuxiliaryFamily,
                        kmax: int) -> list[float]:
     a = family_series(params, family).coefficients(kmax)
-    return [1.0] + [a_n / a[0] for a_n in a[1:]]
+    coeffs = [1.0] + [a_n / a[0] for a_n in a[1:]]
+    if not all(math.isfinite(x) for x in coeffs):
+        raise PrecisionLossError(
+            f"normalized coefficients of {family.value} leave the double range: {coeffs}")
+    return coeffs
 
 
 def rayleigh_sums_newton(params: StruveParams, family: AuxiliaryFamily,

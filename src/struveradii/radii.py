@@ -4,9 +4,11 @@ Each radius is the smallest positive root of a transcendental equation.
 On the search interval the underlying quotient (r v'(r)/v(r) for
 starlikeness, 1 + r v''(r)/v'(r) for convexity, v in {f, g, h}) decreases
 strictly from 1 at r = 0+ to -inf at the interval's right end, so the
-root is unique and plain bisection on (quotient - alpha) is exact.
-Solving the quotient form rather than the cleared-denominator form avoids
-spurious roots at zeros of W or W'.
+root is unique. It is bisected (``zeros._polish``) on certified signs of
+(quotient - alpha): +1 at r = 0, elsewhere as the carriers' error bounds
+settle it in double or else double-double, and -1 required at the right
+end (else BracketError). Solving the quotient form rather than the
+cleared-denominator form avoids spurious roots at zeros of W or W'.
 
 Search intervals, bounded by first zeros from the zeros module:
 
@@ -24,10 +26,10 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
-from .errors import BracketError, NumericalError
-from .struve import NormalizationKind, StruveParams, carrier
-from .series import scaled_ratio
-from .zeros import AuxiliaryFamily, first_zero
+from .errors import BracketError
+from .series import UNIT_ROUNDOFF, scaled_ratio
+from .struve import NormalizationKind, StruveParams, carrier, compensated_carrier_value
+from .zeros import AuxiliaryFamily, _polish, first_zero
 
 __all__ = [
     "RadiusKind",
@@ -37,9 +39,9 @@ __all__ = [
     "radius_convex",
 ]
 
-_BRACKET_LO = 1e-8   # times the upper limit
-_BRACKET_HI = 1.0 - 1e-10
-_WIDTH = 1e-13       # relative bisection width
+_BRACKET_HI = 1.0 - 1e-10  # times the upper limit
+_WIDTH = 1e-13             # relative bracket width
+_EPS = 2.0 * UNIT_ROUNDOFF
 
 
 class RadiusKind(Enum):
@@ -65,10 +67,11 @@ class RadiusQuery:
 
 @dataclass(frozen=True)
 class RadiusResult:
-    """A computed radius with its final bracket and solver diagnostics.
+    """A computed radius with its sign-certified bracket and diagnostics.
 
-    ``residual`` is the quotient-minus-alpha value at ``value``;
-    ``upper_limit`` is the first-zero bound of the search interval.
+    ``iterations`` counts the polish steps, ``residual`` is the double
+    quotient-minus-alpha value at ``value`` and ``upper_limit`` the
+    first-zero bound of the search interval.
     """
 
     value: float
@@ -78,38 +81,17 @@ class RadiusResult:
     upper_limit: float
 
 
-def _quotient(params: StruveParams, kind: RadiusKind,
-              norm: NormalizationKind) -> Callable[[float], float]:
-    p = params.p
-    if kind is RadiusKind.STARLIKE:
-        s0 = carrier(params, "w0")
-        s1 = carrier(params, "w1")
-        if norm is NormalizationKind.F:
-            return lambda r: scaled_ratio(s1.eval_scaled(r * r), s0.eval_scaled(r * r)) / (p + 1.0)
-        if norm is NormalizationKind.G:
-            return lambda r: scaled_ratio(s1.eval_scaled(r * r), s0.eval_scaled(r * r)) - p
-        return lambda r: 1.0 - (p + 1.0) / 2.0 + 0.5 * scaled_ratio(
-            s1.eval_scaled(r), s0.eval_scaled(r))
-    if norm is NormalizationKind.F:
-        s0 = carrier(params, "w0")
-        s1 = carrier(params, "w1")
-        s2 = carrier(params, "w2")
-        coef = 1.0 / (p + 1.0) - 1.0
-
-        def conv_f(r: float) -> float:
-            u = r * r
-            v0 = s0.eval_scaled(u)
-            v1 = s1.eval_scaled(u)
-            return 1.0 + coef * scaled_ratio(v1, v0) + scaled_ratio(s2.eval_scaled(u), v1)
-
-        return conv_f
-    if norm is NormalizationKind.G:
-        g1 = carrier(params, "g1")
-        g2 = carrier(params, "g2")
-        return lambda r: 1.0 + scaled_ratio(g2.eval_scaled(r * r), g1.eval_scaled(r * r))
-    h1 = carrier(params, "h1")
-    h2 = carrier(params, "h2")
-    return lambda r: 1.0 + scaled_ratio(h2.eval_scaled(r), h1.eval_scaled(r))
+# Each quotient as data: const + sum coef * num / den over carriers summed
+# at u = r^2 (f, g) or u = r (h). A row maps p to (const, ((coef, num, den),
+# ...)); a const is within one rounding of exact, a coef within two.
+_EQUATIONS: dict[tuple[str, str], Callable[[float], tuple]] = {
+    ("starlike", "f"): lambda p: (0.0, ((1.0 / (p + 1.0), "w1", "w0"),)),
+    ("starlike", "g"): lambda p: (-p, ((1.0, "w1", "w0"),)),
+    ("starlike", "h"): lambda p: ((1.0 - p) / 2.0, ((0.5, "w1", "w0"),)),
+    ("convex", "f"): lambda p: (1.0, ((-p / (p + 1.0), "w1", "w0"), (1.0, "w2", "w1"))),
+    ("convex", "g"): lambda p: (1.0, ((1.0, "g2", "g1"),)),
+    ("convex", "h"): lambda p: (1.0, ((1.0, "h2", "h1"),)),
+}
 
 
 def _upper_limit(params: StruveParams, kind: RadiusKind,
@@ -124,39 +106,56 @@ def _upper_limit(params: StruveParams, kind: RadiusKind,
     return 4.0 * first_zero(params, AuxiliaryFamily.H_PRIME_SUBST)
 
 
-def _solve(fn: Callable[[float], float], alpha: float, upper: float) -> RadiusResult:
-    lo = _BRACKET_LO * upper
-    hi = _BRACKET_HI * upper
-    f_lo = fn(lo) - alpha
-    if not f_lo > 0.0:
-        # alpha close enough to 1 that the root sits below the standard
-        # left endpoint; the quotient equals 1 exactly at r = 0.
-        lo, f_lo = 0.0, 1.0 - alpha
-    f_hi = fn(hi) - alpha
-    if math.isnan(f_hi) or not f_hi < 0.0:
-        raise BracketError(
-            f"no sign change on ({lo:.6g}, {hi:.6g}); quotient ends at {f_hi!r}"
-        )
-    iterations = 0
-    while hi - lo > _WIDTH * (1.0 + hi):
-        mid = 0.5 * (lo + hi)
-        fm = fn(mid) - alpha
-        iterations += 1
-        if math.isnan(fm):
-            raise NumericalError(f"quotient evaluated to NaN at r={mid!r}")
-        if fm > 0.0:
-            lo = mid
-        elif fm < 0.0:
-            hi = mid
+def _solve(query: RadiusQuery) -> RadiusResult:
+    params, alpha = query.params, query.alpha
+    const, terms = _EQUATIONS[query.kind.value, query.normalization.value](params.p)
+    keys = list(dict.fromkeys(k for _, num, den in terms for k in (num, den)))
+    series = [carrier(params, k) for k in keys]
+    terms = [(coef, abs(coef), keys.index(num), keys.index(den)) for coef, num, den in terms]
+    squared = query.normalization is not NormalizationKind.H
+
+    def excess(r: float, compensated: bool = False) -> tuple[float, float]:
+        """quotient - alpha at r and its error bound: sums n~, d~ with bounds
+        e_n, e_d put n/d within (e_n + |n~/d~| e_d) / (|d~| - e_d) of n~/d~
+        (unbounded if d's sign is uncertain); roundings: 4 units per term, 1
+        per constant and partial sum, 8 per ratio bound, all doubled."""
+        u = r * r if squared else r
+        if compensated:
+            values = [compensated_carrier_value(params, k, u) for k in keys]
         else:
-            lo = hi = mid
-            break
+            values = [s.eval_scaled(u) for s in series]
+        value = const - alpha
+        error, rounding = 0.0, abs(const) + abs(value)
+        for coef, abs_coef, i, j in terms:
+            n, d = values[i], values[j]
+            term = coef * scaled_ratio(n, d)
+            value += term
+            rounding += 4.0 * abs(term) + abs(value)
+            room = abs(d.mantissa) - d.error
+            if not room > 0.0:
+                error = math.inf
+                continue
+            e = (n.error + abs(n.mantissa / d.mantissa) * d.error) / room
+            error += abs_coef * math.ldexp(e, n.exponent - d.exponent)
+        return value, (1.0 + 8.0 * _EPS) * error + _EPS * rounding
+
+    def sign_at(r: float) -> int:
+        value, error = excess(r)
+        if not abs(value) > error:
+            value, error = excess(r, True)
+        return ((value > 0.0) - (value < 0.0)) if abs(value) > error else 0
+
+    upper = _upper_limit(params, query.kind, query.normalization)
+    hi = _BRACKET_HI * upper
+    if sign_at(hi) != -1:
+        raise BracketError(f"quotient - alpha is not certified negative at r={hi!r}")
+    lo, hi, steps = _polish(sign_at, 0.0, hi, 1, _WIDTH)
     value = 0.5 * (lo + hi)
     return RadiusResult(
         value=value,
         bracket=(lo, hi),
-        residual=fn(value) - alpha,
-        iterations=iterations,
+        residual=excess(value)[0],
+        iterations=steps,
         upper_limit=upper,
     )
 
@@ -165,15 +164,11 @@ def radius_starlike(query: RadiusQuery) -> RadiusResult:
     """Radius of starlikeness of order alpha for the chosen normalization."""
     if query.kind is not RadiusKind.STARLIKE:
         raise ValueError(f"query kind must be STARLIKE, got {query.kind}")
-    fn = _quotient(query.params, query.kind, query.normalization)
-    upper = _upper_limit(query.params, query.kind, query.normalization)
-    return _solve(fn, query.alpha, upper)
+    return _solve(query)
 
 
 def radius_convex(query: RadiusQuery) -> RadiusResult:
     """Radius of convexity of order alpha for the chosen normalization."""
     if query.kind is not RadiusKind.CONVEX:
         raise ValueError(f"query kind must be CONVEX, got {query.kind}")
-    fn = _quotient(query.params, query.kind, query.normalization)
-    upper = _upper_limit(query.params, query.kind, query.normalization)
-    return _solve(fn, query.alpha, upper)
+    return _solve(query)

@@ -15,7 +15,9 @@ bound; elsewhere the series is re-summed in double-double
 (``certified_sign``). A scan point whose sign not even that certifies
 raises PrecisionLossError; a bisection midpoint of that kind ends the
 bisection at the certified bracket reached so far. Both ends of every
-returned bracket therefore have certified, opposite signs.
+returned bracket therefore have certified, opposite signs. The bisection,
+``_polish``, is the package's one root polisher; ``radii`` and the Bessel
+oracle use it too.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from typing import Callable
 
 import numpy as np
 
@@ -145,21 +148,23 @@ def _value_at(series: LogSeries, family: AuxiliaryFamily, t: float,
     return sv
 
 
-def _bisect(series: LogSeries, family: AuxiliaryFamily, lo: float, hi: float,
-            sign_lo: int, params: StruveParams) -> tuple[float, tuple[float, float], float]:
-    """Bisect a certified sign change on (lo, hi) to width 1e-12 (1 + hi),
-    or until a midpoint's sign cannot be certified."""
-    while hi - lo > 1e-12 * (1.0 + hi):
+def _polish(sign_at: Callable[[float], int], lo: float, hi: float, sign_lo: int,
+            width: float) -> tuple[float, float, int]:
+    """Bisect a certified sign change on (lo, hi) to width * (1 + hi), or
+    until ``sign_at`` cannot certify a midpoint's sign (returns 0). Returns
+    the final bracket and the number of midpoints evaluated."""
+    steps = 0
+    while hi - lo > width * (1.0 + hi):
         mid = 0.5 * (lo + hi)
-        s = _value_at(series, family, mid, params).certain_sign
+        s = sign_at(mid)
+        steps += 1
         if s == 0:
             break
         if s == sign_lo:
             lo = mid
         else:
             hi = mid
-    root = 0.5 * (lo + hi)
-    return root, (lo, hi), _value_at(series, family, root, params).over_peak()
+    return lo, hi, steps
 
 
 def _scan(series: LogSeries, family: AuxiliaryFamily, count: int,
@@ -217,16 +222,17 @@ def _scan(series: LogSeries, family: AuxiliaryFamily, count: int,
         if flip is None:
             t_lo, sign_lo = max(prev_t, float(ts[-1])), prev_s
             continue
-        root, bracket, res = _bisect(series, family, prev_t, flip, prev_s, params)
-        zeros.append(root)
-        brackets.append(bracket)
-        residuals.append(res)
+        lo, hi, _ = _polish(lambda x: _value_at(series, family, x, params).certain_sign,
+                            prev_t, flip, prev_s, 1e-12)
+        zeros.append(0.5 * (lo + hi))
+        brackets.append((lo, hi))
+        residuals.append(_value_at(series, family, zeros[-1], params).over_peak())
         if len(zeros) >= 5:
             # Zeros only spread out; never let the doubled step
             # outgrow half of the last observed gap.
             gap = zeros[-1] - zeros[-2]
             step = max(step0, min(step * 2.0, 0.5 * gap))
-        t_lo, sign_lo = bracket[1], -prev_s
+        t_lo, sign_lo = hi, -prev_s
     return zeros, brackets, residuals
 
 

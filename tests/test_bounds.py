@@ -143,6 +143,14 @@ class TestBoundsFor:
             with pytest.raises(ValueError):
                 bounds_for(bessel_params, AF.W_PRIME, bad)
 
+    def test_coefficients_beyond_double_range(self):
+        # At c = 1e200 the second normalized coefficient is about 1e400:
+        # a numerical failure, not a bad argument.
+        params = StruveParams(q=1, p=0.0, b=2.0, c=1e200, delta=1.0)
+        for family in BOUND_FAMILIES:
+            with pytest.raises(PrecisionLossError):
+                bounds_for(params, family, 2)
+
 
 def test_statement_form_variants(bessel_params):
     # the alternative printed forms exist for exactly two families and

@@ -128,6 +128,13 @@ def test_numerical_error_exit_code(capsys):
     assert code == 3
 
 
+def test_bounds_beyond_double_range_exit_code(capsys):
+    code = main(["bounds", "--family", "g-convex", "--k", "2",
+                 "--q", "1", "--p", "0", "--b", "2", "--c", "1e200",
+                 "--delta", "1"])
+    assert code == 3
+
+
 def test_verify_bessel_suite(capsys):
     code, out = run_cli(capsys, "verify", "--suite", "bessel", "--format", "json")
     assert code == 0

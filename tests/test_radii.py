@@ -1,6 +1,8 @@
 import math
 
+import mpmath as mp
 import pytest
+from conftest import mp_shift, mp_w
 
 from struveradii import (
     RadiusKind,
@@ -23,6 +25,36 @@ SAMPLE = (
     StruveParams(q=2, p=-0.5, b=1.0, c=2.0, delta=0.5),
     StruveParams(q=3, p=2.0, b=2.0, c=0.5, delta=2.0),
 )
+
+
+# Default-grid point 73. Its starlike f root at alpha = 0.75 lies where the
+# sign of the double-precision quotient minus alpha is not certain.
+POINT_73 = StruveParams(q=2, p=0.5, b=1.0, c=0.5, delta=1.0)
+
+
+def _mp_excess(params, kind, norm, r, alpha, dps=50):
+    """Quotient minus alpha at r from dps-digit sums of v, v' and v''."""
+    with mp.workdps(dps):
+        x = mp.mpf(r)
+        if norm is NK.F:
+            w0, w1, w2 = (mp_w(params, x, k, dps) for k in range(3))
+            star = x * w1 / ((mp.mpf(params.p) + 1) * w0)
+            conv = 1 + star + x * w2 / w1 - x * w1 / w0
+        else:
+            # g(x) = x S(x^2) and h(x) = x S(x), S(u) = sum beta_n u^n.
+            m = 2 if norm is NK.G else 1
+            shift = mp_shift(params)
+            v = dv = d2v = mp.mpf(0)
+            for n in range(160):
+                beta = ((-mp.mpf(params.c) / 4) ** n * mp.gamma(shift)
+                        / (mp.factorial(n) * mp.gamma(params.q * n + shift)))
+                e = m * n + 1
+                v += beta * x ** e
+                dv += beta * e * x ** (e - 1)
+                d2v += beta * e * (e - 1) * x ** (e - 2)
+            star = x * dv / v
+            conv = 1 + x * d2v / dv
+        return (star if kind is RadiusKind.STARLIKE else conv) - alpha
 
 
 def _solve(params, kind, norm, alpha=0.0):
@@ -133,3 +165,14 @@ class TestInvariants:
         assert lo < res.value < hi <= res.upper_limit
         assert abs(res.residual) < 1e-8
         assert res.iterations > 20
+
+
+def test_brackets_are_sign_certified():
+    cases = [(POINT_73, RadiusKind.STARLIKE, NK.F, 0.75)]
+    pairs = [(kind, norm) for kind in RadiusKind for norm in NK]
+    for i, (kind, norm) in enumerate(pairs):
+        cases += [(SAMPLE[i % len(SAMPLE)], kind, norm, alpha) for alpha in (0.0, 0.5)]
+    for params, kind, norm, alpha in cases:
+        lo, hi = _solve(params, kind, norm, alpha).bracket
+        assert _mp_excess(params, kind, norm, lo, alpha) > 0, (params, kind, norm, alpha)
+        assert _mp_excess(params, kind, norm, hi, alpha) < 0, (params, kind, norm, alpha)

@@ -80,15 +80,21 @@ def bessel_j(nu: float, x: float) -> float:
 
 
 def bessel_j_zeros(nu: float, count: int) -> tuple[float, ...]:
-    """The first ``count`` positive zeros of J_nu by scan and bisection.
+    """The first ``count`` positive zeros of J_nu by scan and polish.
 
-    Its signs come from the oracle series alone (the bisection is the shared
+    Its values come from the oracle series alone (the polish is the shared
     ``zeros._polish``), so it is an independent check for the zero finder
     of the main family.
     """
     nu = _check_order(nu)
     if not isinstance(count, int) or count < 1:
         raise ValueError(f"count must be a positive integer, got {count!r}")
+
+    def at(x: float) -> tuple[float, int]:
+        # The exact series leaves no sign uncertain; 0 counts as negative.
+        v = bessel_j(nu, x)
+        return v, 1 if v > 0.0 else -1
+
     zeros: list[float] = []
     step = 0.1
     t_prev = step
@@ -102,8 +108,7 @@ def bessel_j_zeros(nu: float, count: int) -> tuple[float, ...]:
             )
         f = bessel_j(nu, t)
         if (f_prev > 0.0) != (f > 0.0):
-            lo, hi, _ = _polish(lambda x: 1 if bessel_j(nu, x) > 0.0 else -1,
-                                t - step, t, 1 if f_prev > 0.0 else -1, 1e-13)
+            lo, hi, _ = _polish(at, t_prev, t, f_prev, f, 1e-13)
             zeros.append(0.5 * (lo + hi))
         t_prev, f_prev = t, f
     return tuple(zeros)

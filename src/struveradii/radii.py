@@ -4,10 +4,11 @@ Each radius is the smallest positive root of a transcendental equation.
 On the search interval the underlying quotient (r v'(r)/v(r) for
 starlikeness, 1 + r v''(r)/v'(r) for convexity, v in {f, g, h}) decreases
 strictly from 1 at r = 0+ to -inf at the interval's right end, so the
-root is unique. It is bisected (``zeros._polish``) on certified signs of
-(quotient - alpha): +1 at r = 0, elsewhere as the carriers' error bounds
-settle it in double or else double-double, and -1 required at the right
-end (else BracketError). Solving the quotient form rather than the
+root is unique and simple. It is polished (``zeros._polish``, a
+safeguarded regula falsi) on certified signs of (quotient - alpha): +1 at
+r = 0, where the value is 1 - alpha, elsewhere as the carriers' error
+bounds settle it in double or else double-double, and -1 required at the
+right end (else BracketError). Solving the quotient form rather than the
 cleared-denominator form avoids spurious roots at zeros of W or W'.
 
 Search intervals, bounded by first zeros from the zeros module:
@@ -114,16 +115,16 @@ def _solve(query: RadiusQuery) -> RadiusResult:
     terms = [(coef, abs(coef), keys.index(num), keys.index(den)) for coef, num, den in terms]
     squared = query.normalization is not NormalizationKind.H
 
-    def excess(r: float, compensated: bool = False) -> tuple[float, float]:
-        """quotient - alpha at r and its error bound: sums n~, d~ with bounds
-        e_n, e_d put n/d within (e_n + |n~/d~| e_d) / (|d~| - e_d) of n~/d~
-        (unbounded if d's sign is uncertain); roundings: 4 units per term, 1
-        per constant and partial sum, 8 per ratio bound, all doubled."""
-        u = r * r if squared else r
+    def excess(r: float, compensated: bool = False) -> tuple[float, float, float]:
+        """quotient - alpha at r, the error bound of its carrier sums and
+        that of its own roundings: sums n~, d~ with bounds e_n, e_d put n/d
+        within (e_n + |n~/d~| e_d) / (|d~| - e_d) of n~/d~ (unbounded if d's
+        sign is uncertain); roundings: 4 units per term, 1 per constant and
+        partial sum, 8 per ratio bound, all doubled."""
         if compensated:
-            values = [compensated_carrier_value(params, k, u) for k in keys]
+            values = [compensated_carrier_value(params, k, r, squared) for k in keys]
         else:
-            values = [s.eval_scaled(u) for s in series]
+            values = [s.eval_scaled(r, squared) for s in series]
         value = const - alpha
         error, rounding = 0.0, abs(const) + abs(value)
         for coef, abs_coef, i, j in terms:
@@ -137,19 +138,25 @@ def _solve(query: RadiusQuery) -> RadiusResult:
                 continue
             e = (n.error + abs(n.mantissa / d.mantissa) * d.error) / room
             error += abs_coef * math.ldexp(e, n.exponent - d.exponent)
-        return value, (1.0 + 8.0 * _EPS) * error + _EPS * rounding
+        return value, (1.0 + 8.0 * _EPS) * error, _EPS * rounding
 
-    def sign_at(r: float) -> int:
-        value, error = excess(r)
-        if not abs(value) > error:
-            value, error = excess(r, True)
-        return ((value > 0.0) - (value < 0.0)) if abs(value) > error else 0
+    def at(r: float) -> tuple[float, int]:
+        """quotient - alpha at r and its certified sign. The double-double
+        re-sum shares the rounding term of the quotient, so it is skipped
+        where that term alone reaches the value."""
+        value, error, rounding = excess(r)
+        if rounding < abs(value) <= error + rounding:
+            value, error, rounding = excess(r, True)
+        if abs(value) > error + rounding:
+            return value, (value > 0.0) - (value < 0.0)
+        return value, 0
 
     upper = _upper_limit(params, query.kind, query.normalization)
     hi = _BRACKET_HI * upper
-    if sign_at(hi) != -1:
+    f_hi, s = at(hi)
+    if s != -1:
         raise BracketError(f"quotient - alpha is not certified negative at r={hi!r}")
-    lo, hi, steps = _polish(sign_at, 0.0, hi, 1, _WIDTH)
+    lo, hi, steps = _polish(at, 0.0, hi, 1.0 - alpha, f_hi, _WIDTH)
     value = 0.5 * (lo + hi)
     return RadiusResult(
         value=value,

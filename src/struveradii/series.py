@@ -21,10 +21,16 @@ of Numerical Algorithms*, ch. 4): each term is off by at most the
 roundings behind it (those of its ratios and multiplications, and of its
 weight) times the unit roundoff, each addition by the unit roundoff times
 the partial sum, and the truncated tail is bounded by the last term kept.
-A sign counts as certain only where the value exceeds this bound
-(``ScaledValue.certain_sign``); elsewhere callers re-sum with the
-double-double walk (Dekker 1971) of the same recurrence,
-``LogSeries.eval_compensated``, in which every factor is formed exactly.
+The bound covers the series the caller means, not just the doubles it
+sums: a shift known to the series as a double-double (the exact value to
+within a stated error) adds the distance of the double shift from it to
+every gamma factor, and a sum at u = x^2 (``square=True``) adds the
+rounding of x*x to every power of u. A sign counts as certain only where
+the value exceeds this bound (``ScaledValue.certain_sign``); elsewhere
+callers re-sum with the double-double walk (Dekker 1971) of the same
+recurrence, ``LogSeries.eval_compensated``, which takes x^2 as an exact
+product, the shift as a double-double and forms every other factor
+exactly.
 """
 
 from __future__ import annotations
@@ -104,13 +110,17 @@ def dd_mul_sum(xh: float, xl: float, a: float, b: float) -> tuple[float, float]:
     return dd_mul(xh, xl, s, e)
 
 
-def dd_div_sum(xh: float, xl: float, a: float, b: float) -> tuple[float, float]:
-    """x / (a + b), with the sum a + b taken exactly.
+def dd_div_sum(xh: float, xl: float, a: float, b: float,
+               c: float = 0.0) -> tuple[float, float]:
+    """x / (a + b + c) for a >= 0 and a double-double (b, c), with the sum
+    a + b taken exactly.
 
-    The low part e of the sum is at most half an ulp of its high part s,
-    so x / (s + e) = (x / s)(1 - e/s) to within (e/s)^2 <= 2^-106.
+    The low part e of a + b is at most half an ulp of its high part s, and
+    so is c, so e + c rounds by at most 2^-105 of s and x / (s + e + c) =
+    (x / s)(1 - (e + c)/s) to within 2^-104.
     """
     s, e = _two_sum(a, b)
+    e += c
     qh, ql = dd_div_d(xh, xl, s)
     return _quick_two_sum(qh, ql - qh * (e / s))
 
@@ -170,7 +180,10 @@ class LogSeries:
     ``scale`` is s, ``q`` and ``shift`` give the gamma factors q n + j + P
     of rho_n, and ``weight(n)`` returns the factors (k, a) of w(n). The
     double-double sum takes ``scale`` as exact, so it must be the series'
-    constant itself, not a rounded product.
+    constant itself, not a rounded product. The exact P is ``shift +
+    shift_lo`` to within ``shift_error``: the double sums run at ``shift``
+    and the double-double sum at ``shift + shift_lo``, and both bounds
+    count the rest as extra roundings of each gamma factor.
 
     The class is named for the log-space coefficients it stored before the
     ratio table replaced them; the name stays because callers and the
@@ -180,10 +193,11 @@ class LogSeries:
 
     def __init__(self, scale: float, q: int, shift: float,
                  weight: Callable[[int], tuple[tuple[float, float], ...]],
-                 label: str = ""):
+                 label: str = "", shift_lo: float = 0.0, shift_error: float = 0.0):
         self._scale = scale
         self._q = q
         self._shift = shift
+        self._shift_lo = shift_lo
         self._weight = weight
         self.label = label
         self._ratios: list[float] = []
@@ -191,8 +205,19 @@ class LogSeries:
         # Roundings behind a term: 2q + 1 in each ratio (q sums, q - 1
         # products, the factor 4(n+1) and the division) and 2 in applying
         # it to the running term, plus 2 per weight factor (its sum, its
-        # product or the final multiplication).
-        self._step_ops = 2 * q + 3
+        # product or the final multiplication). A gamma factor q n + j + P
+        # is at least P, so a shift off by d adds d / P to its relative
+        # error: d / (unit roundoff P) roundings in double, d / (double-
+        # double unit error P) operations in double-double.
+        distance = abs(shift_lo) + shift_error
+        smallest = shift - distance
+        if smallest > 0.0:
+            extra = distance / (UNIT_ROUNDOFF * smallest)
+            dd_extra = shift_error / (DD_UNIT_ERROR * smallest)
+        else:
+            extra = dd_extra = math.inf
+        self._step_ops = 2 * q + 3 + q * extra
+        self._dd_step_ops = q + 2 + q * dd_extra
         self._weight_ops = 2 * len(weight(0))
 
     def _grow(self, size: int) -> None:
@@ -218,12 +243,13 @@ class LogSeries:
             b *= self._ratios[n]
         return out
 
-    def _sum(self, u: float) -> ScaledValue:
-        """eval_scaled without its argument check. eval_block calls this for
-        its term count, so that wherever calls of eval_scaled are counted, a
-        block counts as one evaluation."""
+    def _sum(self, u: float, rounded: bool = False) -> ScaledValue:
+        """eval_scaled without its argument check, at u itself or, if
+        ``rounded``, at a u within one rounding of the intended argument.
+        eval_block calls this for its term count, so that wherever calls of
+        eval_scaled are counted, a block counts as one evaluation."""
         ratios, weights = self._ratios, self._weights
-        step, ops = self._step_ops, self._weight_ops
+        step, ops = self._step_ops + rounded, self._weight_ops
         t = 1.0         # prod_(k<n) rho_k u^n, in units of 2**exponent
         s = 0.0
         exponent = 0
@@ -264,14 +290,18 @@ class LogSeries:
                 )
         return ScaledValue(s, exponent, peak, n + 1, UNIT_ROUNDOFF * bound + a)
 
-    def eval_scaled(self, u: float) -> ScaledValue:
-        """Sum the series at u >= 0 in double, with an error bound."""
+    def eval_scaled(self, u: float, square: bool = False) -> ScaledValue:
+        """Sum the series at u >= 0 (at u^2 if ``square``) in double, with an
+        error bound."""
         u = float(u)
         if not (math.isfinite(u) and u >= 0.0):
             raise ValueError(f"series argument must be finite and >= 0, got {u!r}")
-        return self._sum(u)
+        if square:
+            u *= u
+        return self._sum(u, square)
 
-    def eval_block(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def eval_block(self, u: np.ndarray, square: bool = False,
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The recurrence of eval_scaled, vectorized over positive arguments.
 
         Returns (mantissa, exponent, error) per point, with the error bound
@@ -281,10 +311,13 @@ class LogSeries:
         u = np.asarray(u, dtype=float)
         if u.size == 0:
             return np.empty(0), np.empty(0, dtype=int), np.empty(0)
+        if square:
+            u = u * u
         u_max = float(u.max())
         if not (u.min() > 0.0 and math.isfinite(u_max)):
             raise ValueError("block arguments must be finite and > 0")
-        nterms = self._sum(u_max).terms
+        nterms = self._sum(u_max, square).terms
+        step = self._step_ops + square
         ratios, weights = self._ratios, self._weights
         t = np.ones_like(u)
         s = np.zeros_like(u)
@@ -321,7 +354,7 @@ class LogSeries:
                 s += term
                 np.abs(term, out=rows[i])
                 np.abs(s, out=rows[i + 1])
-                ops[i] = self._weight_ops + n * self._step_ops
+                ops[i] = self._weight_ops + n * step
                 ops[i + 1] = 1.0
                 i += 2
                 if i == len(ops):
@@ -331,20 +364,27 @@ class LogSeries:
         error = UNIT_ROUNDOFF * bound + np.abs(t) * abs(weights[nterms - 1])
         return s, exponent, error
 
-    def eval_compensated(self, u: float) -> ScaledValue:
-        """Double-double sum at u > 0, with an error bound.
+    def eval_compensated(self, u: float, square: bool = False) -> ScaledValue:
+        """Double-double sum at u > 0 (at u^2 if ``square``), with an error
+        bound.
 
         The result has exponent 0: its mantissa is the value rounded to a
-        double, and its error bounds the distance from the exact sum. Every
-        factor of the ratios and weights is formed exactly from doubles, so
-        the error comes from the double-double operations alone: q + 2 per
-        step of the recurrence, one per weight factor and one per addition.
+        double, and its error bounds the distance from the exact sum. The
+        square is taken exactly, and every factor of the ratios and weights
+        is formed from doubles exactly or, with the double-double shift, to
+        within 2^-105, so the error comes from the double-double operations
+        and the shift's own error: q + 2 per step of the recurrence (one
+        more for the square), one per weight factor and one per addition.
         """
         u = float(u)
         if not (math.isfinite(u) and u > 0.0):
             raise ValueError(f"series argument must be finite and > 0, got {u!r}")
-        q, shift = self._q, self._shift
-        zh, zl = _two_prod(self._scale, u)
+        q, shift, shift_lo = self._q, self._shift, self._shift_lo
+        if square:
+            zh, zl = dd_mul(self._scale, 0.0, *_two_prod(u, u))
+        else:
+            zh, zl = _two_prod(self._scale, u)
+        step = self._dd_step_ops + square
         bh, bl = 1.0, 0.0  # prod_(k<n) rho_k u^n
         sh, sl = 0.0, 0.0
         peak = 0.0
@@ -352,7 +392,7 @@ class LogSeries:
         n = 0
         while True:
             th, tl = bh, bl
-            ops = n * (q + 2) + 1
+            ops = n * step + 1
             for k, a in self._weight(n):
                 th, tl = dd_mul_sum(th, tl, k, a)
                 ops += 1
@@ -366,7 +406,7 @@ class LogSeries:
             bh, bl = dd_mul(bh, bl, zh, zl)
             bh, bl = dd_div_d(bh, bl, 4.0 * (n + 1.0))
             for j in range(q):
-                bh, bl = dd_div_sum(bh, bl, q * n + j, shift)
+                bh, bl = dd_div_sum(bh, bl, q * n + j, shift, shift_lo)
             if not math.isfinite(bh):
                 raise ConvergenceError(
                     f"compensated evaluation of {self.label} overflowed at u={u!r}"

@@ -41,7 +41,7 @@ from typing import Callable
 
 from .errors import BranchError, PoleError
 from .gammafn import log_gamma
-from .series import LogSeries, ScaledValue, scaled_ratio
+from .series import DD_UNIT_ERROR, LogSeries, ScaledValue, dd_add, dd_div_d, scaled_ratio
 
 __all__ = [
     "StruveParams",
@@ -153,24 +153,39 @@ _WEIGHTS: dict[str, tuple[float, Callable[[float, int], tuple[tuple[float, float
 }
 
 
+def _exact_shift(params: StruveParams) -> tuple[float, float, float]:
+    """P = p/delta + (b+2)/2 as a double-double (hi, lo) and a bound on
+    its distance from the exact P: one double-double operation's error on
+    the terms and the sum."""
+    ph, pl = dd_div_d(params.p, 0.0, params.delta)
+    bh, bl = dd_add(params.b, 0.0, 2.0, 0.0)
+    hi, lo = dd_add(ph, pl, 0.5 * bh, 0.5 * bl)
+    return hi, lo, DD_UNIT_ERROR * (abs(ph) + 0.5 * bh + abs(hi))
+
+
 @lru_cache(maxsize=4096)
 def carrier(params: StruveParams, key: str) -> LogSeries:
     """The series sum_n beta_n * s^n * weight(n) * u^n for a weight key.
 
-    The cache keeps the most recent 4096 series, the carriers of several
-    hundred parameter points.
+    Its gamma factors hold P to double-double accuracy, and its error
+    bounds cover the rest, so a certified sign is that of the series at the
+    exact P. The cache keeps the most recent 4096 series, the carriers of
+    several hundred parameter points.
     """
     base, factors = _WEIGHTS[key]
     p = params.p
-    return LogSeries(-params.c * base, params.q, params.gamma_shift,
+    hi, lo, error = _exact_shift(params)
+    return LogSeries(-params.c * base, params.q, hi,
                      lambda n: factors(p, n),
-                     label=f"{key}[q={params.q},p={p},b={params.b},c={params.c},delta={params.delta}]")
+                     label=f"{key}[q={params.q},p={p},b={params.b},c={params.c},delta={params.delta}]",
+                     shift_lo=lo, shift_error=error)
 
 
-def compensated_carrier_value(params: StruveParams, key: str, u: float) -> ScaledValue:
-    """Double-double sum of a carrier series at u > 0, with an error bound
-    (``LogSeries.eval_compensated``)."""
-    return carrier(params, key).eval_compensated(u)
+def compensated_carrier_value(params: StruveParams, key: str, u: float,
+                              square: bool = False) -> ScaledValue:
+    """Double-double sum of a carrier series at u > 0 (at u^2 if
+    ``square``), with an error bound (``LogSeries.eval_compensated``)."""
+    return carrier(params, key).eval_compensated(u, square)
 
 
 def _apply_log_prefactor(sv: ScaledValue, ln_pref: float) -> float:
@@ -199,9 +214,9 @@ def eval_w(params: StruveParams, x: float, deriv: int = 0) -> float:
         raise ValueError(f"deriv must be 0, 1 or 2, got {deriv!r}")
     x = _check_abscissa(x)
     key = ("w0", "w1", "w2")[deriv]
-    sv = carrier(params, key).eval_scaled(x * x)
+    sv = carrier(params, key).eval_scaled(x, square=True)
     if sv.error > _EVAL_W_REL * abs(sv.mantissa):
-        sv = compensated_carrier_value(params, key, x * x)
+        sv = compensated_carrier_value(params, key, x, square=True)
     ln_pref = (
         (params.p + 1.0 - deriv) * math.log(x)
         - (params.p + 1.0) * _LN2
@@ -240,12 +255,11 @@ def log_derivative(params: StruveParams, x: float) -> float:
     double-precision sum, that is, when the sum cannot tell W(x) from 0.
     """
     x = _check_abscissa(x)
-    u = x * x
-    s0 = carrier(params, "w0").eval_scaled(u)
+    s0 = carrier(params, "w0").eval_scaled(x, square=True)
     if s0.certain_sign == 0:
         raise PoleError(
             f"W({x}) cannot be told from 0 within the error bound of its sum "
             f"for {params}"
         )
-    s1 = carrier(params, "w1").eval_scaled(u)
+    s1 = carrier(params, "w1").eval_scaled(x, square=True)
     return scaled_ratio(s1, s0)

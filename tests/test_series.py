@@ -8,17 +8,14 @@ from hypothesis import strategies as st
 from struveradii import AuxiliaryFamily, StruveParams, find_zeros
 from struveradii.struve import _WEIGHTS, carrier, compensated_carrier_value
 
+from conftest import mp_shift
 
-def mp_weighted_carrier(params: StruveParams, key: str, u: float, dps: int = 60):
-    """sum_n beta_n s^n w(n) u^n at the double P the package sums with.
 
-    P is taken as the double ``params.gamma_shift``, not as the exact
-    p/delta + (b+2)/2: the bound covers the summation, not the rounding
-    of the parameters.
-    """
+def mp_weighted_carrier(params: StruveParams, key: str, u, dps: int = 60):
+    """sum_n beta_n s^n w(n) u^n at the exact P = p/delta + (b+2)/2."""
     base, factors = _WEIGHTS[key]
     with mp.workdps(dps):
-        shift = mp.mpf(params.gamma_shift)
+        shift = mp_shift(params)
         z = -mp.mpf(params.c) * base * mp.mpf(u) / 4
         g_shift = mp.gamma(shift)
         total = mp.mpf(0)
@@ -45,20 +42,25 @@ def mp_weighted_carrier(params: StruveParams, key: str, u: float, dps: int = 60)
     delta=st.floats(min_value=0.5, max_value=2.0),
     key=st.sampled_from(sorted(_WEIGHTS)),
     frac=st.floats(min_value=0.0, max_value=1.0),
+    square=st.booleans(),
 )
-def test_error_bound_holds(q, p, b, c, delta, key, frac):
+def test_error_bound_holds(q, p, b, c, delta, key, frac, square):
     # u runs log-uniformly from 1e-3 to the square of the 10th zero of W,
-    # the scale of the largest arguments the zero finder sums at.
+    # the scale of the largest arguments the zero finder sums at. With
+    # ``square`` the sums run at the rounded x*x for x = sqrt(u), and the
+    # bounds must hold at the exact x^2.
     assume(p / delta + (b + 2.0) / 2.0 > 0.0)
     params = StruveParams(q=q, p=p, b=b, c=c, delta=delta)
     u_max = find_zeros(params, AuxiliaryFamily.W, 10).zeros[-1] ** 2
     u = 1e-3 * (u_max / 1e-3) ** frac
-    exact = mp_weighted_carrier(params, key, u)
+    arg = u ** 0.5 if square else u
+    with mp.workdps(60):
+        exact = mp_weighted_carrier(params, key, mp.mpf(arg) ** 2 if square else arg)
     series = carrier(params, key)
 
-    sv = series.eval_scaled(u)
-    mant, exponent, error = series.eval_block(np.array([u]))
-    dd = compensated_carrier_value(params, key, u)
+    sv = series.eval_scaled(arg, square=square)
+    mant, exponent, error = series.eval_block(np.array([arg]), square=square)
+    dd = compensated_carrier_value(params, key, arg, square=square)
     assert dd.exponent == 0
     with mp.workdps(60):
         for m, e, err in ((sv.mantissa, sv.exponent, sv.error),

@@ -85,6 +85,20 @@ class TestFindZeros:
                         params, family, z + h) < 0
 
 
+@pytest.mark.parametrize("params, x", [
+    (StruveParams(q=1, p=-0.024879255120875965, b=1.1073627392808278,
+                  c=4.225783654533311, delta=1.8635899936982172), 3.085740891231466),
+    (StruveParams(q=1, p=3.370401773508187, b=2.8471631172399716,
+                  c=6.319748980594043, delta=1.7722403703122305), 5.3544132066340655),
+])
+def test_certified_sign_at_exact_square_and_shift(params, x):
+    # Within a rounding of a zero of W: the series summed at the rounded
+    # x*x with P rounded to double has the opposite sign to W(x) itself.
+    with mp.workdps(80):
+        exact = mp_carrier(params, mp.mpf(x) ** 2, dps=80)
+    assert certified_sign(params, AuxiliaryFamily.W, x) == mp.sign(exact)
+
+
 class TestInterlacing:
     def test_bessel_case(self, bessel_params):
         w = find_zeros(bessel_params, AuxiliaryFamily.W, 2)

@@ -40,7 +40,7 @@ from .errors import (
     PrecisionLossError,
     ScanOverflowError,
 )
-from .gammafn import gamma_ratio, log_gamma
+from .gammafn import log_gamma
 from .grid import default_grid, load_grid
 from .radii import (
     RadiusKind,
@@ -51,9 +51,7 @@ from .radii import (
 )
 from .struve import (
     NormalizationKind,
-    SeriesTerm,
     StruveParams,
-    coefficient,
     eval_normalized,
     eval_w,
     log_derivative,
@@ -89,7 +87,6 @@ __all__ = [
     "RadiusResult",
     "RayleighSums",
     "ScanOverflowError",
-    "SeriesTerm",
     "StruveParams",
     "SuiteReport",
     "SumSource",
@@ -98,14 +95,12 @@ __all__ = [
     "bessel_j_zeros",
     "bounds_for",
     "check_interlacing",
-    "coefficient",
     "corollary_bounds",
     "default_grid",
     "eval_normalized",
     "eval_w",
     "find_zeros",
     "first_zero",
-    "gamma_ratio",
     "load_grid",
     "log_derivative",
     "log_gamma",

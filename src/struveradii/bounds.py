@@ -8,12 +8,13 @@ S_k = sum_n rho_n^(-k) sandwich the smallest root:
 
 both sides tightening as k grows. Back-substituting each family's change
 of variable turns the rho_1 bounds into bounds on the corresponding
-radius (square roots and factors 2 or 4, see _BACK_SUBST).
+radius (square roots and factors 2 or 4, see _FAMILIES).
 
-S_1 and S_2 have closed forms in gamma ratios; general k comes from
-Newton's identities applied to the normalized series coefficients,
-S_k = -k a_k - sum_{i=1}^{k-1} a_i S_{k-i}, with the relative size of the
-surviving sum monitored against the largest intermediate term.
+Every a_n is rational in the input doubles, so Newton's identities
+S_k = -k a_k - sum_{i=1}^{k-1} a_i S_{k-i} run in integers and give S_k
+exactly, and each bound is rounded outward from it: lower < rho_1 < upper
+holds for the exact parameters. The closed forms of S_1 and S_2 are an
+independent check.
 """
 
 from __future__ import annotations
@@ -21,12 +22,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 from typing import Sequence
 
 from .errors import PrecisionLossError
-from .gammafn import gamma_ratio
-from .struve import StruveParams
-from .zeros import AuxiliaryFamily, family_series
+from .struve import StruveParams, exact_coefficients, shift_rising
+from .zeros import _CARRIER_KEY, AuxiliaryFamily
 
 __all__ = [
     "SumSource",
@@ -41,7 +42,6 @@ __all__ = [
 ]
 
 MAX_K = 12
-_CANCEL_LIMIT = 1e-6
 
 
 class SumSource(Enum):
@@ -54,25 +54,33 @@ class BoundRadiusKind(Enum):
     CONVEX0 = "convex0"
 
 
-_BOUND_FAMILIES = (
-    AuxiliaryFamily.W_PRIME,
-    AuxiliaryFamily.G_PRIME_SUBST,
-    AuxiliaryFamily.H_PRIME_SUBST,
-    AuxiliaryFamily.ALEX_G_SUBST,
-    AuxiliaryFamily.ALEX_H,
-)
+# Per family: the radius bounded, and (s, e) with rho = (r / s)^e for the
+# radius r. W' zeros enter the sums as eps^2; the g-side substitutions map
+# u back through 2 sqrt(u); h' lives at 4u; alex-h is in the radius itself.
+_FAMILIES = {
+    AuxiliaryFamily.W_PRIME: (BoundRadiusKind.STARLIKE0, 1, 2),
+    AuxiliaryFamily.G_PRIME_SUBST: (BoundRadiusKind.STARLIKE0, 2, 2),
+    AuxiliaryFamily.H_PRIME_SUBST: (BoundRadiusKind.STARLIKE0, 4, 1),
+    AuxiliaryFamily.ALEX_G_SUBST: (BoundRadiusKind.CONVEX0, 2, 2),
+    AuxiliaryFamily.ALEX_H: (BoundRadiusKind.CONVEX0, 1, 1),
+}
 
-_RADIUS_KIND = {
-    AuxiliaryFamily.W_PRIME: BoundRadiusKind.STARLIKE0,
-    AuxiliaryFamily.G_PRIME_SUBST: BoundRadiusKind.STARLIKE0,
-    AuxiliaryFamily.H_PRIME_SUBST: BoundRadiusKind.STARLIKE0,
-    AuxiliaryFamily.ALEX_G_SUBST: BoundRadiusKind.CONVEX0,
-    AuxiliaryFamily.ALEX_H: BoundRadiusKind.CONVEX0,
+# S_1 = A c Gamma(P)/Gamma(q+P) and S_2 = S_1^2 - B c^2 Gamma(P)/Gamma(2q+P),
+# with (A, B) per family as functions of p.
+_CLOSED_FORMS = {
+    AuxiliaryFamily.W_PRIME: lambda p: ((p + 3.0) / (4.0 * (p + 1.0)),
+                                        (p + 5.0) / (16.0 * (p + 1.0))),
+    AuxiliaryFamily.G_PRIME_SUBST: lambda p: (3.0, 5.0),
+    AuxiliaryFamily.H_PRIME_SUBST: lambda p: (2.0, 3.0),
+    AuxiliaryFamily.ALEX_G_SUBST: lambda p: (9.0, 25.0),
+    AuxiliaryFamily.ALEX_H: lambda p: (1.0, 9.0 / 16.0),
 }
 
 
 @dataclass(frozen=True)
 class RayleighSums:
+    """Power sums S_1, S_2, ... as the nearest doubles, inf beyond range."""
+
     family: AuxiliaryFamily
     sums: tuple[float, ...]
     source: SumSource
@@ -87,46 +95,41 @@ class BoundsPair:
     radius_kind: BoundRadiusKind
 
 
-def newton_power_sums(coeffs: Sequence[float], kmax: int) -> list[float]:
-    """Power sums of reciprocal roots of 1 + sum_{n>=1} coeffs[n] u^n.
-
-    ``coeffs[0]`` must be 1; missing high-order coefficients count as zero
-    (a finite polynomial then yields the exact sums over its roots).
-    Raises PrecisionLossError when cancellation in the recurrence leaves
-    less than a 1e-6 fraction of the largest intermediate term, or when a
-    sum comes out non-positive, which the positive-root setting forbids.
-    """
-    if not coeffs or coeffs[0] != 1.0:
-        raise ValueError("coefficient list must start with 1.0")
-    if kmax < 1:
-        raise ValueError(f"kmax must be >= 1, got {kmax!r}")
-
-    def a(n: int) -> float:
-        return float(coeffs[n]) if n < len(coeffs) else 0.0
-
-    sums: list[float] = []
+def _newton(coeffs: Sequence[int], den: int, kmax: int) -> list[int]:
+    """sigma_1 .. sigma_kmax, S_k = sigma_k / den^k, for the reciprocal
+    roots of sum_n (coeffs[n] / den) u^n, whose constant term is 1."""
+    a = list(coeffs) + [0] * (kmax + 1 - len(coeffs))
+    powers = [den ** i for i in range(kmax + 1)]
+    sigma: list[int] = []
     for k in range(1, kmax + 1):
-        terms = [-k * a(k)]
-        terms.extend(-a(i) * sums[k - i - 1] for i in range(1, k))
-        s_k = math.fsum(terms)
-        largest = max(abs(t) for t in terms)
-        if s_k <= 0.0 or (largest > 0.0 and abs(s_k) < _CANCEL_LIMIT * largest):
-            raise PrecisionLossError(
-                f"power sum S_{k} lost too many digits "
-                f"(value {s_k!r}, largest term {largest!r})"
-            )
-        sums.append(s_k)
-    return sums
+        s = -k * a[k] * powers[k - 1] - sum(
+            a[i] * sigma[k - i - 1] * powers[i - 1] for i in range(1, k))
+        if s <= 0:
+            raise PrecisionLossError(f"S_{k} = {Fraction(s, powers[k])} is not positive")
+        sigma.append(s)
+    return sigma
 
 
-def _normalized_coeffs(params: StruveParams, family: AuxiliaryFamily,
-                       kmax: int) -> list[float]:
-    a = family_series(params, family).coefficients(kmax)
-    coeffs = [1.0] + [a_n / a[0] for a_n in a[1:]]
-    if not all(math.isfinite(x) for x in coeffs):
-        raise PrecisionLossError(
-            f"normalized coefficients of {family.value} leave the double range: {coeffs}")
-    return coeffs
+def newton_power_sums(coeffs: Sequence[float | Fraction], kmax: int) -> list[Fraction]:
+    """Exact power sums of reciprocal roots of 1 + sum_{n>=1} coeffs[n] u^n.
+
+    ``coeffs[0]`` must be 1; missing high-order coefficients count as zero.
+    Raises PrecisionLossError for a sum that is not positive, which the
+    positive-root setting forbids."""
+    exact = [Fraction(c) for c in coeffs]
+    if not exact or exact[0] != 1 or kmax < 1:
+        raise ValueError(f"need coeffs[0] == 1 and kmax >= 1, got {coeffs[:1]}, {kmax!r}")
+    den = math.lcm(*(c.denominator for c in exact))
+    sigma = _newton([c.numerator * (den // c.denominator) for c in exact], den, kmax)
+    return [Fraction(s, den ** k) for k, s in enumerate(sigma, 1)]
+
+
+def _nearest(num: int, den: int) -> float:
+    """num / den > 0 as the nearest double, inf beyond the double range."""
+    try:
+        return num / den
+    except OverflowError:
+        return math.inf
 
 
 def rayleigh_sums_newton(params: StruveParams, family: AuxiliaryFamily,
@@ -135,78 +138,68 @@ def rayleigh_sums_newton(params: StruveParams, family: AuxiliaryFamily,
     family = AuxiliaryFamily(family)
     if not isinstance(kmax, int) or not 1 <= kmax <= MAX_K:
         raise ValueError(f"kmax must be an integer in [1, {MAX_K}], got {kmax!r}")
-    sums = newton_power_sums(_normalized_coeffs(params, family, kmax), kmax)
-    return RayleighSums(family=family, sums=tuple(sums), source=SumSource.NEWTON)
+    coeffs, den = exact_coefficients(params, _CARRIER_KEY[family], kmax + 1)
+    sigma = _newton(coeffs, den, kmax)
+    sums = tuple(_nearest(s, den ** k) for k, s in enumerate(sigma, 1))
+    return RayleighSums(family=family, sums=sums, source=SumSource.NEWTON)
 
 
 def rayleigh_sums_closed_form(params: StruveParams,
                               family: AuxiliaryFamily) -> RayleighSums:
     """The closed forms of S_1 and S_2 in gamma ratios, per family."""
     family = AuxiliaryFamily(family)
-    if family not in _BOUND_FAMILIES:
+    if family not in _CLOSED_FORMS:
         raise ValueError(f"no closed-form power sums for family {family}")
-    p, c, q = params.p, params.c, params.q
-    shift = params.gamma_shift
-    g1 = gamma_ratio(shift, q + shift)        # Gamma(P) / Gamma(q+P)
-    g2 = gamma_ratio(shift, 2.0 * q + shift)  # Gamma(P) / Gamma(2q+P)
-    if family is AuxiliaryFamily.W_PRIME:
-        s1 = c * (p + 3.0) * g1 / (4.0 * (p + 1.0))
-        s2 = (c * c * (p + 3.0) ** 2 * g1 * g1 / (16.0 * (p + 1.0) ** 2)
-              - c * c * (p + 5.0) * g2 / (16.0 * (p + 1.0)))
-    elif family is AuxiliaryFamily.G_PRIME_SUBST:
-        s1 = 3.0 * c * g1
-        s2 = 9.0 * c * c * g1 * g1 - 5.0 * c * c * g2
-    elif family is AuxiliaryFamily.H_PRIME_SUBST:
-        s1 = 2.0 * c * g1
-        s2 = 4.0 * c * c * g1 * g1 - 3.0 * c * c * g2
-    elif family is AuxiliaryFamily.ALEX_G_SUBST:
-        s1 = 9.0 * c * g1
-        s2 = 81.0 * c * c * g1 * g1 - 25.0 * c * c * g2
-    else:  # ALEX_H
-        s1 = c * g1
-        s2 = c * c * g1 * g1 - 9.0 * c * c * g2 / 16.0
+    a, b = _CLOSED_FORMS[family](params.p)
+    c, q = params.c, params.q
+    s1 = a * c * float(1 / shift_rising(params, q))
+    s2 = s1 * s1 - b * c * c * float(1 / shift_rising(params, 2 * q))
     return RayleighSums(family=family, sums=(s1, s2), source=SumSource.CLOSED_FORM)
 
 
-def _back_substitute(family: AuxiliaryFamily, k: int, s_k: float,
-                     s_k1: float) -> tuple[float, float]:
-    # W' zeros enter the sums as eps^(-2k) and the radius is eps_1 itself;
-    # g-side substitutions map u back through 2 sqrt(u); h' lives at 4u;
-    # the h convexity function is already in the radius variable.
-    if family is AuxiliaryFamily.W_PRIME:
-        return s_k ** (-0.5 / k), math.sqrt(s_k / s_k1)
-    if family in (AuxiliaryFamily.G_PRIME_SUBST, AuxiliaryFamily.ALEX_G_SUBST):
-        return 2.0 * s_k ** (-0.5 / k), 2.0 * math.sqrt(s_k / s_k1)
-    if family is AuxiliaryFamily.H_PRIME_SUBST:
-        return 4.0 * s_k ** (-1.0 / k), 4.0 * s_k / s_k1
-    return s_k ** (-1.0 / k), s_k / s_k1  # ALEX_H
+def _round_outward(num: int, den: int, j: int, s: int, down: bool) -> float:
+    """The largest double at or below r = s (num/den)^(1/j) if ``down``,
+    else the smallest at or above it (num, den, j, s positive integers),
+    found in ulp steps from a 64-bit estimate by exact comparisons."""
+    shift = 64 - (num.bit_length() - den.bit_length())
+    m = (num << shift) // den if shift >= 0 else num // (den << -shift)
+    e, rem = divmod(-shift, j)
+    try:
+        x = s * math.ldexp(math.ldexp(float(m), rem) ** (1.0 / j), e)
+    except OverflowError:
+        x = math.inf
+
+    def on_side(y: float) -> bool:
+        if y == math.inf:
+            return not down
+        y_num, y_den = y.as_integer_ratio()
+        left, right = y_num ** j * den, (s * y_den) ** j * num
+        return left <= right if down else left >= right
+
+    inward = math.inf if down else -math.inf
+    while not on_side(x):
+        x = math.nextafter(x, -inward)
+    while (y := math.nextafter(x, inward)) != x and on_side(y):
+        x = y
+    return x
 
 
 def bounds_for(params: StruveParams, family: AuxiliaryFamily, k: int) -> BoundsPair:
-    """Lower/upper bounds at index k for the family's alpha = 0 radius."""
+    """Lower/upper bounds at index k for the family's alpha = 0 radius,
+    rounded outward from the exact power sums. At large k the two sides can
+    meet in adjacent doubles."""
     family = AuxiliaryFamily(family)
-    if family not in _BOUND_FAMILIES:
+    if family not in _FAMILIES:
         raise ValueError(f"no radius bounds are defined for family {family}")
     if not isinstance(k, int) or not 1 <= k <= MAX_K - 1:
         raise ValueError(f"k must be an integer in [1, {MAX_K - 1}], got {k!r}")
-    sums = rayleigh_sums_newton(params, family, k + 1)
-    if k == 1:
-        closed = rayleigh_sums_closed_form(params, family)
-        for newton_s, closed_s in zip(sums.sums, closed.sums):
-            if abs(newton_s - closed_s) > 1e-9 * abs(closed_s):
-                raise PrecisionLossError(
-                    f"Newton sums disagree with closed forms for {family}: "
-                    f"{sums.sums[:2]} vs {closed.sums}"
-                )
-    lower, upper = _back_substitute(family, k, sums.sums[k - 1], sums.sums[k])
-    # Strict ordering holds mathematically; at large k the two sides can
-    # converge to the same double, which is success rather than failure.
-    if not (math.isfinite(lower) and math.isfinite(upper) and 0.0 < lower <= upper):
-        raise PrecisionLossError(
-            f"bounds for {family} at k={k} are not ordered: ({lower}, {upper})"
-        )
-    return BoundsPair(k=k, lower=lower, upper=upper, family=family,
-                      radius_kind=_RADIUS_KIND[family])
+    coeffs, den = exact_coefficients(params, _CARRIER_KEY[family], k + 2)
+    sigma = _newton(coeffs, den, k + 1)
+    kind, s, e = _FAMILIES[family]
+    # S_k^(-1/k) = (den^k / sigma_k)^(1/k), S_k / S_(k+1) = sigma_k den / sigma_(k+1)
+    lower = _round_outward(den ** k, sigma[k - 1], e * k, s, down=True)
+    upper = _round_outward(sigma[k - 1] * den, sigma[k], e, s, down=False)
+    return BoundsPair(k=k, lower=lower, upper=upper, family=family, radius_kind=kind)
 
 
 def statement_form_bounds(params: StruveParams,
@@ -222,9 +215,9 @@ def statement_form_bounds(params: StruveParams,
     """
     family = AuxiliaryFamily(family)
     p, c, q = params.p, params.c, params.q
-    shift = params.gamma_shift
-    g1 = gamma_ratio(shift, q + shift)
-    ratio21 = gamma_ratio(2.0 * q + shift, q + shift)  # Gamma(2q+P)/Gamma(q+P)
+    rising_q = shift_rising(params, q)
+    g1 = float(1 / rising_q)                                 # Gamma(P)/Gamma(q+P)
+    ratio21 = float(shift_rising(params, 2 * q) / rising_q)  # Gamma(2q+P)/Gamma(q+P)
     if family is AuxiliaryFamily.W_PRIME:
         lower = math.sqrt(2.0 * (p + 1.0) / (c * (p + 3.0) * g1))
         den = c * ((p + 3.0) ** 2 * g1 * ratio21 - 2.0 * (p + 5.0) * (p + 1.0))

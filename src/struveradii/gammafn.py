@@ -1,34 +1,23 @@
-"""Real-argument log-gamma helpers shared by every coefficient formula.
+"""Real-argument log-gamma for the prefactor 1/Gamma(P) of ``eval_w``.
 
-All gamma arguments in this package have the form q*n + P with P > 0, so
-only strictly positive finite arguments are supported.
+Every other gamma quotient in this package is a product (P)_m =
+Gamma(P+m) / Gamma(P) taken exactly (``struve.shift_rising``), so this
+module only needs ln Gamma at finite x > 0.
 """
 
 from __future__ import annotations
 
 import math
 
-__all__ = ["log_gamma", "gamma_ratio"]
+__all__ = ["log_gamma"]
 
 
 def log_gamma(x: float) -> float:
     """Return ln Gamma(x) for finite x > 0.
 
-    Backed by the platform lgamma, whose relative error is a few ulp and
-    therefore far inside the 1e-13 budget the series coefficients need.
+    Backed by the platform lgamma, whose relative error is a few ulp.
     """
     x = float(x)
     if not math.isfinite(x) or x <= 0.0:
         raise ValueError(f"log_gamma requires finite x > 0, got {x!r}")
     return math.lgamma(x)
-
-
-def gamma_ratio(a: float, b: float) -> float:
-    """Return Gamma(a) / Gamma(b), computed as exp(log_gamma(a) - log_gamma(b))."""
-    d = log_gamma(a) - log_gamma(b)
-    try:
-        return math.exp(d)
-    except OverflowError as exc:
-        raise OverflowError(
-            f"gamma_ratio({a!r}, {b!r}) exceeds the representable range"
-        ) from exc

@@ -233,15 +233,11 @@ class LogSeries:
                 d *= q * n + j + shift
             self._ratios.append(self._scale / d)
 
-    def coefficients(self, k: int) -> list[float]:
-        """a_0 .. a_k as doubles."""
-        self._grow(k + 1)
-        out = []
-        b = 1.0
-        for n in range(k + 1):
-            out.append(b * self._weights[n])
-            b *= self._ratios[n]
-        return out
+    @property
+    def leading(self) -> float:
+        """The constant term a_0 = w(0)."""
+        self._grow(1)
+        return self._weights[0]
 
     def _sum(self, u: float, rounded: bool = False) -> ScaledValue:
         """eval_scaled without its argument check, at u itself or, if

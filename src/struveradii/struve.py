@@ -26,6 +26,9 @@ double-precision sum comes with a running error bound (see ``series``).
 Where that bound does not settle a result, the same recurrence is
 re-summed in double-double arithmetic (``compensated_carrier_value``).
 
+P is held exactly (``exact_shift``), and the carriers' shift, the products
+(P)_m = Gamma(P+m) / Gamma(P) and the exact coefficients all derive from it.
+
 Only the positive real axis is supported: every radius computed
 downstream is the smallest positive root of a real equation. For
 non-integer p the power x^(p+1) means exp((p+1) ln x), x > 0.
@@ -36,26 +39,28 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 from functools import lru_cache
 from typing import Callable
 
-from .errors import BranchError, PoleError
+from .errors import BranchError, PoleError, PrecisionLossError
 from .gammafn import log_gamma
-from .series import DD_UNIT_ERROR, LogSeries, ScaledValue, dd_add, dd_div_d, scaled_ratio
+from .series import LogSeries, ScaledValue, scaled_ratio
 
 __all__ = [
     "StruveParams",
     "NormalizationKind",
-    "SeriesTerm",
-    "coefficient",
+    "exact_shift",
+    "shift_rising",
+    "exact_coefficients",
     "eval_w",
     "eval_normalized",
     "log_derivative",
 ]
 
 _LN2 = math.log(2.0)
-# eval_w re-sums in double-double when its double error bound exceeds
-# this share of the value.
+# eval_w and eval_normalized re-sum in double-double when the double
+# error bound exceeds this share of the value.
 _EVAL_W_REL = 1e-12
 
 
@@ -85,7 +90,7 @@ class StruveParams:
             raise ValueError(f"c must be > 0, got {self.c}")
         if self.p + 1.0 <= 0.0:
             raise ValueError(f"p + 1 must be > 0, got p={self.p}")
-        if self.gamma_shift <= 0.0:
+        if exact_shift(self) <= 0:
             raise ValueError(
                 f"p/delta + (b+2)/2 must be > 0, got {self.gamma_shift}"
             )
@@ -104,31 +109,10 @@ class NormalizationKind(Enum):
     H = "h"
 
 
-@dataclass(frozen=True)
-class SeriesTerm:
-    """One coefficient a_n = (-1)^n c^n / (n! Gamma(qn+P)) in log form."""
-
-    index: int
-    log_magnitude: float
-    sign: int
-
-
-def coefficient(params: StruveParams, n: int) -> SeriesTerm:
-    """Coefficient of (x/2)^(2n+p+1) in the defining series of W."""
-    if not isinstance(n, int) or n < 0:
-        raise ValueError(f"term index must be a non-negative integer, got {n!r}")
-    lg = (
-        n * math.log(params.c)
-        - log_gamma(n + 1.0)
-        - log_gamma(params.q * n + params.gamma_shift)
-    )
-    return SeriesTerm(index=n, log_magnitude=lg, sign=-1 if n % 2 else 1)
-
-
 # Each carrier is sum_n beta_n * s^n * prod_f (k_f + a_f) * u^n. The table
 # maps a key to s and to the weight's factors at (p, n), each an integer
 # k_f plus a_f in {0, p}, so that double-double arithmetic forms every
-# factor exactly.
+# factor exactly and the exact coefficients take it as a rational.
 #   w0            S(u):                     W-carrier, u = x^2
 #   w1            sum beta_n (2n+p+1) u^n:  W'-carrier
 #   w2            sum beta_n (2n+p+1)(2n+p) u^n: W''-carrier
@@ -138,47 +122,78 @@ def coefficient(params: StruveParams, n: int) -> SeriesTerm:
 #   hp_subst      h'(4 u)        as a series in u
 #   alexg_subst   (x g'(x))' at x = 2 sqrt(u)
 #   alexh         (x h'(x))' at x = u
-_WEIGHTS: dict[str, tuple[float, Callable[[float, int], tuple[tuple[float, float], ...]]]] = {
-    "w0": (1.0, lambda p, n: ()),
-    "w1": (1.0, lambda p, n: ((2.0 * n + 1.0, p),)),
-    "w2": (1.0, lambda p, n: ((2.0 * n + 1.0, p), (2.0 * n, p))),
-    "g1": (1.0, lambda p, n: ((2.0 * n + 1.0, 0.0),)),
-    "g2": (1.0, lambda p, n: ((2.0 * n + 1.0, 0.0), (2.0 * n, 0.0))),
-    "h1": (1.0, lambda p, n: ((n + 1.0, 0.0),)),
-    "h2": (1.0, lambda p, n: ((n + 1.0, 0.0), (float(n), 0.0))),
-    "gp_subst": (4.0, lambda p, n: ((2.0 * n + 1.0, 0.0),)),
-    "hp_subst": (4.0, lambda p, n: ((n + 1.0, 0.0),)),
-    "alexg_subst": (4.0, lambda p, n: ((2.0 * n + 1.0, 0.0),) * 2),
-    "alexh": (1.0, lambda p, n: ((n + 1.0, 0.0),) * 2),
+_WEIGHTS: dict[str, tuple[int, Callable[[float, int], tuple[tuple[int, float], ...]]]] = {
+    "w0": (1, lambda p, n: ()),
+    "w1": (1, lambda p, n: ((2 * n + 1, p),)),
+    "w2": (1, lambda p, n: ((2 * n + 1, p), (2 * n, p))),
+    "g1": (1, lambda p, n: ((2 * n + 1, 0),)),
+    "g2": (1, lambda p, n: ((2 * n + 1, 0), (2 * n, 0))),
+    "h1": (1, lambda p, n: ((n + 1, 0),)),
+    "h2": (1, lambda p, n: ((n + 1, 0), (n, 0))),
+    "gp_subst": (4, lambda p, n: ((2 * n + 1, 0),)),
+    "hp_subst": (4, lambda p, n: ((n + 1, 0),)),
+    "alexg_subst": (4, lambda p, n: ((2 * n + 1, 0),) * 2),
+    "alexh": (1, lambda p, n: ((n + 1, 0),) * 2),
 }
 
 
-def _exact_shift(params: StruveParams) -> tuple[float, float, float]:
-    """P = p/delta + (b+2)/2 as a double-double (hi, lo) and a bound on
-    its distance from the exact P: one double-double operation's error on
-    the terms and the sum."""
-    ph, pl = dd_div_d(params.p, 0.0, params.delta)
-    bh, bl = dd_add(params.b, 0.0, 2.0, 0.0)
-    hi, lo = dd_add(ph, pl, 0.5 * bh, 0.5 * bl)
-    return hi, lo, DD_UNIT_ERROR * (abs(ph) + 0.5 * bh + abs(hi))
+@lru_cache(maxsize=4096)
+def exact_shift(params: StruveParams) -> Fraction:
+    """P = p/delta + (b+2)/2 exactly, from the doubles' integer ratios."""
+    return Fraction(params.p) / Fraction(params.delta) + (Fraction(params.b) + 2) / 2
+
+
+def shift_rising(params: StruveParams, m: int) -> Fraction:
+    """(P)_m = P (P+1) ... (P+m-1) = Gamma(P+m) / Gamma(P), exactly."""
+    num, den = exact_shift(params).as_integer_ratio()
+    return Fraction(math.prod(j * den + num for j in range(m)), den ** m)
+
+
+def exact_coefficients(params: StruveParams, key: str, count: int) -> tuple[list[int], int]:
+    """a_n / a_0, n < count, of a carrier with a_0 != 0, exactly: integer
+    numerators over one common positive denominator.
+
+    With P = N/D, c = c_n/c_d and p = p_n/p_d, rho_n = r / t_n for
+    r = -c_n s D^q and t_n = 4 c_d (n+1) prod_j ((q n + j) D + N); a weight
+    factor k + a, a in {0, p}, is (k p_d + (p_n if a else 0)) / p_d.
+    """
+    if not isinstance(count, int) or count < 1:
+        raise ValueError(f"count must be an integer >= 1, got {count!r}")
+    base, factors = _WEIGHTS[key]
+    num, den = exact_shift(params).as_integer_ratio()
+    (p_num, p_den), (c_num, c_den) = params.p.as_integer_ratio(), params.c.as_integer_ratio()
+    weights = [math.prod(k * p_den + (p_num if a else 0) for k, a in factors(params.p, n))
+               for n in range(count)]
+    sign = 1 if weights[0] > 0 else -1
+    q = params.q
+    r = -c_num * base * den ** q
+    nums, tail = [0] * count, 1  # tail = prod_(n<=i<count-1) t_i
+    for n in reversed(range(count)):
+        nums[n] = sign * weights[n] * r ** n * tail
+        if n:
+            tail *= 4 * c_den * n * math.prod((q * n - q + j) * den + num for j in range(q))
+    return nums, sign * weights[0] * tail
 
 
 @lru_cache(maxsize=4096)
 def carrier(params: StruveParams, key: str) -> LogSeries:
     """The series sum_n beta_n * s^n * weight(n) * u^n for a weight key.
 
-    Its gamma factors hold P to double-double accuracy, and its error
-    bounds cover the rest, so a certified sign is that of the series at the
-    exact P. The cache keeps the most recent 4096 series, the carriers of
-    several hundred parameter points.
+    The series takes the exact P as a double-double hi + lo, within half
+    an ulp of lo, and its error bounds cover the rest, so a certified sign
+    is that of the series at the exact P. The cache keeps the most recent
+    4096 series, the carriers of several hundred parameter points.
     """
     base, factors = _WEIGHTS[key]
     p = params.p
-    hi, lo, error = _exact_shift(params)
+    num, den = exact_shift(params).as_integer_ratio()
+    hi = num / den
+    hi_num, hi_den = hi.as_integer_ratio()
+    lo = (num * hi_den - hi_num * den) / (den * hi_den)
     return LogSeries(-params.c * base, params.q, hi,
                      lambda n: factors(p, n),
                      label=f"{key}[q={params.q},p={p},b={params.b},c={params.c},delta={params.delta}]",
-                     shift_lo=lo, shift_error=error)
+                     shift_lo=lo, shift_error=math.ulp(lo))
 
 
 def compensated_carrier_value(params: StruveParams, key: str, u: float,
@@ -204,6 +219,15 @@ def _check_abscissa(x: float) -> float:
     return x
 
 
+def _carrier_value(params: StruveParams, key: str, x: float, square: bool) -> ScaledValue:
+    """The carrier's sum at x (at x^2 if ``square``), re-summed in
+    double-double where the double error bound exceeds _EVAL_W_REL."""
+    sv = carrier(params, key).eval_scaled(x, square)
+    if sv.error > _EVAL_W_REL * abs(sv.mantissa):
+        sv = compensated_carrier_value(params, key, x, square)
+    return sv
+
+
 def eval_w(params: StruveParams, x: float, deriv: int = 0) -> float:
     """Evaluate W, W' or W'' at x > 0 from the term-wise differentiated series.
 
@@ -213,10 +237,7 @@ def eval_w(params: StruveParams, x: float, deriv: int = 0) -> float:
     if deriv not in (0, 1, 2):
         raise ValueError(f"deriv must be 0, 1 or 2, got {deriv!r}")
     x = _check_abscissa(x)
-    key = ("w0", "w1", "w2")[deriv]
-    sv = carrier(params, key).eval_scaled(x, square=True)
-    if sv.error > _EVAL_W_REL * abs(sv.mantissa):
-        sv = compensated_carrier_value(params, key, x, square=True)
+    sv = _carrier_value(params, ("w0", "w1", "w2")[deriv], x, True)
     ln_pref = (
         (params.p + 1.0 - deriv) * math.log(x)
         - (params.p + 1.0) * _LN2
@@ -226,16 +247,17 @@ def eval_w(params: StruveParams, x: float, deriv: int = 0) -> float:
 
 
 def eval_normalized(params: StruveParams, kind: NormalizationKind, x: float) -> float:
-    """Evaluate one of the normalized forms f, g, h at x > 0."""
+    """Evaluate one of the normalized forms f, g, h at x > 0, summed as in
+    eval_w. f needs W(x) > 0: a certified negative sign raises BranchError,
+    a sign not even the double-double sum certifies PrecisionLossError."""
     x = _check_abscissa(x)
     kind = NormalizationKind(kind)
-    core = carrier(params, "w0")
-    if kind is NormalizationKind.G:
-        return _apply_log_prefactor(core.eval_scaled(x * x), math.log(x))
-    if kind is NormalizationKind.H:
-        return _apply_log_prefactor(core.eval_scaled(x), math.log(x))
-    sv = core.eval_scaled(x * x)
-    if sv.mantissa <= 0.0:
+    sv = _carrier_value(params, "w0", x, kind is not NormalizationKind.H)
+    if kind is not NormalizationKind.F:
+        return _apply_log_prefactor(sv, math.log(x))
+    if sv.certain_sign == 0:
+        raise PrecisionLossError(f"the sign of W({x}) for {params} is not certified")
+    if sv.certain_sign < 0:
         raise BranchError(
             f"the (p+1)-th root needs 2^(p+1) Gamma(P) W(x) > 0, "
             f"violated at x={x} for {params}"

@@ -4,10 +4,11 @@ All functions handled here have only real zeros under the parameter
 constraints, so a sign scan along the positive axis followed by a
 bracketed polish finds every zero. The scan starts with step 0.1,
 doubles the step after each zero beyond the fourth (zeros of these
-families spread out, never bunch up), stops at MAX_ABSCISSA, and, when a
-reference sequence is supplied, falls back to a half-step rescan if the
-expected interlacing pattern is violated; a violation can only mean a
-missed sign change, not mathematics.
+families spread out, never bunch up), after the first zero sums blocks
+of scan points about twice the last gap long, stops at MAX_ABSCISSA,
+and, when a reference sequence is supplied, falls back to a half-step
+rescan if the expected interlacing pattern is violated; a violation can
+only mean a missed sign change, not mathematics.
 
 Every sign the scan and the polish act on is certified, for the series
 at the exact abscissa and parameters (see ``struve.carrier``). The sign
@@ -54,7 +55,7 @@ MAX_COUNT = 64
 MAX_ABSCISSA = 1.0e6
 INITIAL_STEP = 0.1
 _MAX_RESCANS = 8
-_BLOCK = 1024
+_BLOCK = 1024  # scan points summed at once, at most
 _NUDGE = 1e-6  # share of the step by which a scan point on a zero moves
 
 
@@ -236,18 +237,19 @@ def _scan(series: LogSeries, family: AuxiliaryFamily, count: int,
         return _as_float(sv.mantissa, sv.exponent), sv.certain_sign
 
     t_lo = 0.0
-    v_lo: float | None = series.coefficients(0)[0]  # None: not evaluated
+    v_lo: float | None = series.leading  # None: not evaluated
     sign_lo = (v_lo > 0.0) - (v_lo < 0.0)
     if sign_lo == 0:
         raise NumericalError("scan requires a nonzero leading coefficient")
     step = step0
+    block = _BLOCK
     while len(zeros) < count:
         if t_lo >= MAX_ABSCISSA:
             raise ScanOverflowError(
                 f"found only {len(zeros)} of {count} zeros below "
                 f"abscissa {MAX_ABSCISSA:g} for {series.label}"
             )
-        ts = t_lo + step * np.arange(1, _BLOCK + 1)
+        ts = t_lo + step * np.arange(1, block + 1)
         if ts[-1] >= MAX_ABSCISSA:
             ts = np.append(ts[ts < MAX_ABSCISSA], MAX_ABSCISSA)
         mant, expo, err = series.eval_block(ts, squared)
@@ -296,11 +298,13 @@ def _scan(series: LogSeries, family: AuxiliaryFamily, count: int,
         zeros.append(0.5 * (lo + hi))
         brackets.append((lo, hi))
         residuals.append(_value_at(series, family, zeros[-1], params).over_peak())
+        gap = zeros[-1] - (zeros[-2] if len(zeros) > 1 else 0.0)
         if len(zeros) >= 5:
             # Zeros only spread out; never let the doubled step
             # outgrow half of the last observed gap.
-            gap = zeros[-1] - zeros[-2]
             step = max(step0, min(step * 2.0, 0.5 * gap))
+        # The next zero most likely lies within twice the last gap.
+        block = min(_BLOCK, max(16, int(2.0 * gap / step) + 1))
         t_lo, sign_lo, v_lo = hi, -prev_s, None
     return zeros, brackets, residuals
 

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
@@ -6,12 +7,17 @@ from hypothesis import strategies as st
 
 from struveradii import (
     BoundRadiusKind,
+    NormalizationKind as NK,
     PrecisionLossError,
+    RadiusKind,
+    RadiusQuery,
     StruveParams,
     SumSource,
     bounds_for,
-    gamma_ratio,
+    default_grid,
     newton_power_sums,
+    radius_convex,
+    radius_starlike,
     rayleigh_sums_closed_form,
     rayleigh_sums_newton,
     statement_form_bounds,
@@ -123,9 +129,9 @@ class TestBoundsFor:
             s1 = rayleigh_sums_closed_form(params, AF.W_PRIME).sums[0]
             assert pair.lower == pytest.approx(1.0 / math.sqrt(s1), rel=1e-12)
             shift = params.gamma_shift
+            ratio = math.exp(math.lgamma(shift) - math.lgamma(params.q + shift))
             display = 2.0 * math.sqrt(
-                (params.p + 1.0)
-                / (params.c * (params.p + 3.0) * gamma_ratio(shift, params.q + shift)))
+                (params.p + 1.0) / (params.c * (params.p + 3.0) * ratio))
             assert pair.lower == pytest.approx(display, rel=1e-12)
 
     def test_tightening(self):
@@ -144,12 +150,18 @@ class TestBoundsFor:
                 bounds_for(bessel_params, AF.W_PRIME, bad)
 
     def test_coefficients_beyond_double_range(self):
-        # At c = 1e200 the second normalized coefficient is about 1e400:
-        # a numerical failure, not a bad argument.
-        params = StruveParams(q=1, p=0.0, b=2.0, c=1e200, delta=1.0)
-        for family in BOUND_FAMILIES:
-            with pytest.raises(PrecisionLossError):
-                bounds_for(params, family, 2)
+        # At c = 1e200 the second normalized coefficient is about 1e400 and
+        # at c = 1e-300 it is about 1e-600, but the exact power sums are
+        # unaffected: the bounds follow the c-scaling law, r_c = r_1 / sqrt(c)
+        # for the families in x and r_c = r_1 / c for those in x^2 (h).
+        base = StruveParams(q=1, p=0.0, b=2.0, c=1.0, delta=1.0)
+        for c in (1e200, 1e-300):
+            params = StruveParams(q=1, p=0.0, b=2.0, c=c, delta=1.0)
+            for family in BOUND_FAMILIES:
+                factor = 1.0 / c if family in (AF.H_PRIME_SUBST, AF.ALEX_H) else c ** -0.5
+                one, scaled = bounds_for(base, family, 2), bounds_for(params, family, 2)
+                for got, ref in ((scaled.lower, one.lower), (scaled.upper, one.upper)):
+                    assert abs(got - ref * factor) <= 4.0 * math.ulp(got)
 
 
 def test_statement_form_variants(bessel_params):
@@ -176,3 +188,89 @@ def test_convergence_gap_report(capsys):
             worst = max(worst, (pair.upper - pair.lower) / pair.lower)
     print(f"[REPORT] largest relative gap at k=8 over sample: {worst:.3e}")
     assert worst < 1.0  # sanity only; the informative part is the print
+
+
+# The families' series, written out apart from the package's weight table:
+# a_(n+1) / a_n = s (-c) w(n+1) / (4 (n+1) w(n) prod_(j<q) (q n + j + P)).
+_ORACLE_SERIES = {
+    AF.W_PRIME: (1, lambda n, p: 2 * n + 1 + p),
+    AF.G_PRIME_SUBST: (4, lambda n, p: 2 * n + 1),
+    AF.H_PRIME_SUBST: (4, lambda n, p: n + 1),
+    AF.ALEX_G_SUBST: (4, lambda n, p: (2 * n + 1) ** 2),
+    AF.ALEX_H: (1, lambda n, p: (n + 1) ** 2),
+}
+
+# The root rho of each series as a function of the radius r.
+_ROOT_OF_RADIUS = {
+    AF.W_PRIME: lambda r: r * r,
+    AF.G_PRIME_SUBST: lambda r: r * r / 4,
+    AF.H_PRIME_SUBST: lambda r: r / 4,
+    AF.ALEX_G_SUBST: lambda r: r * r / 4,
+    AF.ALEX_H: lambda r: r,
+}
+
+
+def _exact_power_sums(params, family, kmax):
+    scale, weight = _ORACLE_SERIES[family]
+    p, c = Fraction(params.p), Fraction(params.c)
+    shift = p / Fraction(params.delta) + (Fraction(params.b) + 2) / 2
+    coeffs, beta = [Fraction(1)], Fraction(1)
+    for n in range(kmax):
+        beta *= -scale * c / (4 * (n + 1) * math.prod(
+            params.q * n + j + shift for j in range(params.q)))
+        coeffs.append(beta * weight(n + 1, p) / weight(0, p))
+    return newton_power_sums(coeffs, kmax)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    q=st.sampled_from([1, 2, 3, 4, 6]),
+    p=st.floats(min_value=-0.9, max_value=8.0, exclude_min=True, exclude_max=True),
+    b=st.floats(min_value=0.1, max_value=4.0, exclude_min=True, exclude_max=True),
+    log_c=st.floats(min_value=-3.0, max_value=3.0),
+    delta=st.floats(min_value=0.2, max_value=4.0, exclude_min=True, exclude_max=True),
+)
+def test_bounds_are_the_outward_rounded_exact_bounds(q, p, b, log_c, delta):
+    # lower is the largest double whose root rho obeys rho^k S_k <= 1 and
+    # upper the smallest whose rho obeys rho >= S_k / S_(k+1), in exact
+    # rationals.
+    assume(p / delta + (b + 2.0) / 2.0 > 0.0)
+    params = StruveParams(q=q, p=p, b=b, c=10.0 ** log_c, delta=delta)
+    for family in BOUND_FAMILIES:
+        sums = _exact_power_sums(params, family, 5)
+        rho = _ROOT_OF_RADIUS[family]
+        for k in range(1, 5):
+            pair = bounds_for(params, family, k)
+            s_k, ratio = sums[k - 1], sums[k - 1] / sums[k]
+            above_lower = math.nextafter(pair.lower, math.inf)
+            below_upper = math.nextafter(pair.upper, 0.0)
+            assert rho(Fraction(pair.lower)) ** k * s_k <= 1
+            assert rho(Fraction(above_lower)) ** k * s_k > 1
+            assert rho(Fraction(pair.upper)) >= ratio
+            assert rho(Fraction(below_upper)) < ratio
+
+
+_RADIUS_OF_FAMILY = {
+    AF.W_PRIME: (RadiusKind.STARLIKE, NK.F),
+    AF.G_PRIME_SUBST: (RadiusKind.STARLIKE, NK.G),
+    AF.H_PRIME_SUBST: (RadiusKind.STARLIKE, NK.H),
+    AF.ALEX_G_SUBST: (RadiusKind.CONVEX, NK.G),
+    AF.ALEX_H: (RadiusKind.CONVEX, NK.H),
+}
+
+
+def test_high_k_bounds_meet_the_radius_bracket():
+    # The q = 3, p <= 0.5 default-grid points hold every case where the
+    # double-precision Newton sums gave up at k = 8 or 11 (for example
+    # alex-h at q=3, p=-0.5, b=1, c=0.5, delta=0.5, k=8, and w-prime at
+    # q=3, p=-0.5, b=2, c=0.5, delta=2, k=11). The bounds are narrower than
+    # the radius bracket there, so they must overlap it.
+    points = [params for params in default_grid() if params.q == 3 and params.p <= 0.5]
+    for params in points:
+        for family, (kind, norm) in _RADIUS_OF_FAMILY.items():
+            query = RadiusQuery(params=params, kind=kind, normalization=norm, alpha=0.0)
+            solve = radius_starlike if kind is RadiusKind.STARLIKE else radius_convex
+            lo, hi = solve(query).bracket
+            for k in (8, 11):
+                pair = bounds_for(params, family, k)
+                assert pair.lower <= hi and lo <= pair.upper, (params, family, k)

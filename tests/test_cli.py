@@ -129,10 +129,22 @@ def test_numerical_error_exit_code(capsys):
 
 
 def test_bounds_beyond_double_range_exit_code(capsys):
-    code = main(["bounds", "--family", "g-convex", "--k", "2",
-                 "--q", "1", "--p", "0", "--b", "2", "--c", "1e200",
-                 "--delta", "1"])
-    assert code == 3
+    # The power sums beyond S_1 exceed the double range, but the bounds
+    # come from the exact sums and follow the c-scaling law.
+    code, out = run_cli(
+        capsys, "bounds", "--family", "g-convex", "--k", "2",
+        "--q", "1", "--p", "0", "--b", "2", "--c", "1e200", "--delta", "1",
+        "--format", "json")
+    assert code == 0
+    record = json.loads(out)
+    sums = [float(s) for s in record["diagnostics"]["power_sums"]]
+    assert sums[0] == pytest.approx(4.5e200, rel=1e-15)
+    assert sums[1:] == [float("inf")] * 2
+    code, ref = run_cli(capsys, "bounds", "--family", "g-convex", "--k", "2",
+                        *BESSEL_ARGS, "--format", "json")
+    for side in ("lower", "upper"):
+        assert float(record["results"][side]) == pytest.approx(
+            float(json.loads(ref)["results"][side]) * 1e-100, rel=1e-15)
 
 
 def test_verify_bessel_suite(capsys):

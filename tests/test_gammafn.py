@@ -1,10 +1,18 @@
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from struveradii import gamma_ratio, log_gamma
+from struveradii import StruveParams, log_gamma
+from struveradii.struve import shift_rising
+
+
+def _with_shift(shift: float) -> StruveParams:
+    """Parameters whose P = p/delta + (b+2)/2 is ``shift``, exactly for a
+    ``shift`` with few binary digits: p = -0.75, delta = 1, b = 2 shift - 0.5."""
+    return StruveParams(q=1, p=-0.75, b=2.0 * shift - 0.5, c=1.0, delta=1.0)
 
 
 def test_known_values():
@@ -17,22 +25,15 @@ def test_known_values():
 def test_domain_errors(bad):
     with pytest.raises(ValueError):
         log_gamma(bad)
-    with pytest.raises(ValueError):
-        gamma_ratio(bad, 1.0)
-    with pytest.raises(ValueError):
-        gamma_ratio(1.0, bad)
 
 
 def test_ratio_values():
-    assert gamma_ratio(3.0, 2.0) == pytest.approx(2.0, rel=1e-13)
-    assert gamma_ratio(6.5, 5.5) == pytest.approx(5.5, rel=1e-13)
-    for x in (0.25, 1.0, 3.7, 41.0, 170.0):
-        assert gamma_ratio(x, x) == 1.0
-
-
-def test_ratio_overflow():
-    with pytest.raises(OverflowError):
-        gamma_ratio(300.0, 1.0)
+    # Gamma(P + m) / Gamma(P) as the exact product (P)_m
+    assert shift_rising(_with_shift(2.0), 1) == 2
+    assert shift_rising(_with_shift(5.5), 1) == Fraction(11, 2)
+    assert shift_rising(_with_shift(2.5), 3) == Fraction(5 * 7 * 9, 8)
+    for x in (0.375, 1.0, 3.7, 41.0, 170.0):
+        assert shift_rising(_with_shift(x), 0) == 1
 
 
 @settings(max_examples=200, deadline=None)
@@ -48,5 +49,4 @@ def test_half_integer_double_factorial():
         dfact = 1
         for k in range(2 * n - 1, 0, -2):
             dfact *= k
-        expected = dfact / 2.0 ** n
-        assert gamma_ratio(n + 0.5, 0.5) == pytest.approx(expected, rel=1e-11)
+        assert shift_rising(_with_shift(0.5), n) == Fraction(dfact, 2 ** n)

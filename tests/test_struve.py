@@ -1,7 +1,9 @@
 import math
+from fractions import Fraction
 
 import mpmath as mp
 import pytest
+from conftest import mp_carrier
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -10,12 +12,12 @@ from struveradii import (
     NormalizationKind,
     PoleError,
     StruveParams,
-    coefficient,
     eval_normalized,
     eval_w,
     find_zeros,
     log_derivative,
 )
+from struveradii.struve import exact_coefficients
 from struveradii.zeros import AuxiliaryFamily
 
 J1_AT_2 = 0.5767248077568734          # J_1(2), frozen from the mpmath oracle
@@ -54,25 +56,33 @@ class TestParams:
 
 
 class TestCoefficient:
+    # The exact coefficients beta_n of S(u); the coefficient of
+    # (x/2)^(2n+p+1) in W is a_n = (-1)^n c^n / (n! Gamma(q n + P)) =
+    # 4^n beta_n / Gamma(P).
     def test_first_terms_bessel(self, bessel_params):
-        a0 = coefficient(bessel_params, 0)
-        assert a0.sign == 1 and a0.log_magnitude == pytest.approx(0.0, abs=1e-15)
-        a1 = coefficient(bessel_params, 1)
-        assert a1.sign == -1
-        assert math.exp(a1.log_magnitude) == pytest.approx(0.5, rel=1e-14)
+        nums, den = exact_coefficients(bessel_params, "w0", 2)
+        assert nums[0] == den
+        # a_1 = -1 / Gamma(3) = -1/2 and Gamma(P) = 1
+        assert 4 * Fraction(nums[1], den) == Fraction(-1, 2)
 
     def test_q2_term(self):
         # a_3 = -2^3 / (3! Gamma(6 + 2.5)); log magnitude frozen from mpmath
-        term = coefficient(Q2_PARAMS, 3)
-        assert term.sign == -1
-        assert term.log_magnitude == pytest.approx(-9.261585184849217, rel=1e-13)
+        nums, den = exact_coefficients(Q2_PARAMS, "w0", 4)
+        beta_3 = Fraction(nums[3], den)
+        rising = math.prod(Fraction(5 + 2 * j, 2) for j in range(6))  # (2.5)_6
+        assert beta_3 == Fraction(-8, 4 ** 3 * 6) / rising
+        a_3 = float(beta_3) * 4 ** 3 / math.gamma(2.5)
+        assert math.log(-a_3) == pytest.approx(-9.261585184849217, rel=1e-13)
 
     def test_sign_alternates(self):
-        assert [coefficient(Q2_PARAMS, n).sign for n in range(6)] == [1, -1, 1, -1, 1, -1]
+        nums, den = exact_coefficients(Q2_PARAMS, "w0", 6)
+        assert den > 0
+        assert [(a > 0) - (a < 0) for a in nums] == [1, -1, 1, -1, 1, -1]
 
     def test_rejects_negative_index(self):
-        with pytest.raises(ValueError):
-            coefficient(Q2_PARAMS, -1)
+        for bad in (-1, 0):
+            with pytest.raises(ValueError):
+                exact_coefficients(Q2_PARAMS, "w0", bad)
 
 
 class TestEvalW:
@@ -161,6 +171,16 @@ class TestNormalized:
     def test_domain_error(self):
         with pytest.raises(ValueError):
             eval_normalized(Q2_PARAMS, NormalizationKind.G, -0.5)
+
+    @pytest.mark.parametrize("x", [20.0, 30.0, 40.0])
+    @pytest.mark.parametrize("kind", [NormalizationKind.G, NormalizationKind.H])
+    def test_far_out_against_oracle(self, kind, x):
+        # g(x) = x S(x^2) and h(x) = x S(x); at x^2 = 1600 the double sum of
+        # S cancels away every digit and must be re-summed.
+        params = StruveParams(q=1, p=0.5, b=1.0, c=1.0, delta=1.0)
+        u = x * x if kind is NormalizationKind.G else x
+        ref = float(x * mp_carrier(params, u, dps=80))
+        assert eval_normalized(params, kind, x) == pytest.approx(ref, rel=1e-12)
 
 
 class TestLogDerivative:

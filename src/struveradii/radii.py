@@ -7,9 +7,10 @@ strictly from 1 at r = 0+ to -inf at the interval's right end, so the
 root is unique and simple. It is polished (``zeros._polish``, a
 safeguarded regula falsi) on certified signs of (quotient - alpha): +1 at
 r = 0, where the value is 1 - alpha, elsewhere as the carriers' error
-bounds settle it in double or else double-double, and -1 required at the
-right end (else BracketError). Solving the quotient form rather than the
-cleared-denominator form avoids spurious roots at zeros of W or W'.
+bounds settle it, from the double sums or else from the exact re-sums,
+and -1 required at the right end (else BracketError). Solving the
+quotient form rather than the cleared-denominator form avoids spurious
+roots at zeros of W or W'.
 
 Search intervals, bounded by first zeros from the zeros module:
 
@@ -141,8 +142,8 @@ def _solve(query: RadiusQuery) -> RadiusResult:
         return value, (1.0 + 8.0 * _EPS) * error, _EPS * rounding
 
     def at(r: float) -> tuple[float, int]:
-        """quotient - alpha at r and its certified sign. The double-double
-        re-sum shares the rounding term of the quotient, so it is skipped
+        """quotient - alpha at r and its certified sign. The exact re-sum
+        shares the rounding term of the quotient, so it is skipped
         where that term alone reaches the value."""
         value, error, rounding = excess(r)
         if rounding < abs(value) <= error + rounding:

@@ -5,39 +5,45 @@ Every series of this package is a weighted gamma series
     sum_n a_n u^n,   a_n = w(n) prod_(k<n) rho_k,
     rho_n = s / (4 (n+1) prod_(j<q) (q n + j + P)),
 
-with a scale s and a weight w(n) that is a product of factors k + a (k
-an integer, a a double). Coefficients such as c^n / (n! Gamma(q n + P))
-span hundreds of orders of magnitude, so no table of them is kept: a
-series stores the ratios rho_n and the weights w(n), and each sum runs
-the recurrence t_(n+1) = t_n rho_n u, applying the weight per term so
-that a zero weight stays exact. The running term is rescaled by powers
-of two, so no finite argument can overflow a sum. Summation stops once
-the current term falls below a fixed share of the largest partial sum
-seen, with at least MIN_TERMS terms always included; a hard cap guards
-against a runaway loop.
+with a rational scale s, a rational shift P > 0 and a weight w(n) that is
+a product of factors m n + k + a (m, k integers, a rational). Coefficients
+such as c^n / (n! Gamma(q n + P)) span hundreds of orders of magnitude, so
+no table of them is kept. A series keeps one table of integers instead,
+rho_n = r / t_n and w(n) = w_n / d, built once from the exact s, P and a
+(every double is a rational), and each sum runs the recurrence t_(n+1) =
+t_n rho_n u over it, applying the weight per term so that a zero weight
+stays exact.
 
-Every sum carries a running error bound (Higham, *Accuracy and Stability
-of Numerical Algorithms*, ch. 4): each term is off by at most the
-roundings behind it (those of its ratios and multiplications, and of its
-weight) times the unit roundoff, each addition by the unit roundoff times
-the partial sum, and the truncated tail is bounded by the last term kept.
-The bound covers the series the caller means, not just the doubles it
-sums: a shift known to the series as a double-double (the exact value to
-within a stated error) adds the distance of the double shift from it to
-every gamma factor, and a sum at u = x^2 (``square=True``) adds the
-rounding of x*x to every power of u. A sign counts as certain only where
-the value exceeds this bound (``ScaledValue.certain_sign``); elsewhere
-callers re-sum with the double-double walk (Dekker 1971) of the same
-recurrence, ``LogSeries.eval_compensated``, which takes x^2 as an exact
-product, the shift as a double-double and forms every other factor
-exactly.
+The double sums (``eval_scaled``, and ``eval_block`` vectorized over
+arguments) run on that table, each entry rounded once to a double. The
+running term is rescaled by powers of two, so no finite argument can
+overflow a sum. Summation stops once the current term falls below a fixed
+share of the largest partial sum seen, with at least MIN_TERMS terms
+always included; a hard cap guards against a runaway loop. Every double
+sum carries a running error bound (Higham, *Accuracy and Stability of
+Numerical Algorithms*, ch. 4): each term is off by at most the roundings
+behind it (one per rounded ratio or weight, one per multiplication) times
+the unit roundoff, each addition by the unit roundoff times the partial
+sum, and the truncated tail is bounded by the last term kept. A sum at
+u = x^2 (``square=True``) adds the rounding of x*x to every power of u,
+so the bound covers the series at the exact x^2 and the exact parameters.
+
+A sign counts as certain only where the value exceeds this bound
+(``ScaledValue.certain_sign``); elsewhere callers re-sum exactly with
+``LogSeries.eval_compensated``. It walks the same integer table in fixed
+point, in the manner of mpmath's hypergeometric summators: the argument
+is a dyadic rational (a double, or its square), each step is one floor
+division, and the error is kept in units of the last bit, so the bound
+holds for the exact argument and parameters. The working precision
+starts from what a double sum measures and doubles until the sign is
+certified.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from fractions import Fraction
 
 import numpy as np
 
@@ -46,83 +52,17 @@ from .errors import ConvergenceError
 MIN_TERMS = 8
 MAX_TERMS = 10_000
 
-_CUTOFF = 1e-16     # double sums: last term vs peak partial sum
-_DD_CUTOFF = 1e-34  # double-double sums
-_BIG = 2.0 ** 512   # a running term past this is rescaled
-_BLOCK_ROWS = 32    # terms per reduction of a block's error bound
+_CUTOFF = 1e-16       # double sums: last term vs peak partial sum
+_BIG = 2.0 ** 512     # a running term past this is rescaled
+_BLOCK_ROWS = 32      # terms per reduction of a block's error bound
+_GUARD_BITS = 64      # exact sums: bits beyond the double sum's error
+_MAX_BITS = 1 << 13   # exact sums: the largest working precision
+# Roundings per step of a double sum: the rounded ratio, and its products
+# with u and with the running term.
+_STEP_OPS = 3
 
-# Unit roundoff of a double, and a bound on the relative error of one
-# double-double operation (2^-104 up to the small constants of the
-# sloppy add and the division).
+# Unit roundoff of a double.
 UNIT_ROUNDOFF = 2.0 ** -53
-DD_UNIT_ERROR = 2.0 ** -100
-
-# ---------------------------------------------------------------------------
-# Double-double helpers (error-free transformations).
-
-_SPLITTER = 134217729.0  # 2**27 + 1
-
-
-def _two_sum(a: float, b: float) -> tuple[float, float]:
-    s = a + b
-    bb = s - a
-    return s, (a - (s - bb)) + (b - bb)
-
-
-def _quick_two_sum(a: float, b: float) -> tuple[float, float]:
-    s = a + b
-    return s, b - (s - a)
-
-
-def _two_prod(a: float, b: float) -> tuple[float, float]:
-    p = a * b
-    ah = _SPLITTER * a
-    ah = ah - (ah - a)
-    al = a - ah
-    bh = _SPLITTER * b
-    bh = bh - (bh - b)
-    bl = b - bh
-    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
-
-
-def dd_add(xh: float, xl: float, yh: float, yl: float) -> tuple[float, float]:
-    s, e = _two_sum(xh, yh)
-    e += xl + yl
-    return _quick_two_sum(s, e)
-
-
-def dd_div_d(xh: float, xl: float, f: float) -> tuple[float, float]:
-    q1 = xh / f
-    p, e = _two_prod(q1, f)
-    q2 = (((xh - p) - e) + xl) / f
-    return _quick_two_sum(q1, q2)
-
-
-def dd_mul(xh: float, xl: float, yh: float, yl: float) -> tuple[float, float]:
-    p, e = _two_prod(xh, yh)
-    e += xh * yl + xl * yh
-    return _quick_two_sum(p, e)
-
-
-def dd_mul_sum(xh: float, xl: float, a: float, b: float) -> tuple[float, float]:
-    """x * (a + b), with the sum a + b taken exactly."""
-    s, e = _two_sum(a, b)
-    return dd_mul(xh, xl, s, e)
-
-
-def dd_div_sum(xh: float, xl: float, a: float, b: float,
-               c: float = 0.0) -> tuple[float, float]:
-    """x / (a + b + c) for a >= 0 and a double-double (b, c), with the sum
-    a + b taken exactly.
-
-    The low part e of a + b is at most half an ulp of its high part s, and
-    so is c, so e + c rounds by at most 2^-105 of s and x / (s + e + c) =
-    (x / s)(1 - (e + c)/s) to within 2^-104.
-    """
-    s, e = _two_sum(a, b)
-    e += c
-    qh, ql = dd_div_d(xh, xl, s)
-    return _quick_two_sum(qh, ql - qh * (e / s))
 
 
 @dataclass(frozen=True)
@@ -174,16 +114,20 @@ def scaled_ratio(num: ScaledValue, den: ScaledValue) -> float:
         return math.copysign(math.inf, q)
 
 
+def _as_float(mantissa: float, exponent: int) -> float:
+    """mantissa * 2**exponent, saturating to +-inf instead of overflowing."""
+    try:
+        return math.ldexp(mantissa, int(exponent))
+    except OverflowError:
+        return math.copysign(math.inf, mantissa)
+
+
 class LogSeries:
     """Power series sum_n a_n u^n kept as a table of coefficient ratios.
 
-    ``scale`` is s, ``q`` and ``shift`` give the gamma factors q n + j + P
-    of rho_n, and ``weight(n)`` returns the factors (k, a) of w(n). The
-    double-double sum takes ``scale`` as exact, so it must be the series'
-    constant itself, not a rounded product. The exact P is ``shift +
-    shift_lo`` to within ``shift_error``: the double sums run at ``shift``
-    and the double-double sum at ``shift + shift_lo``, and both bounds
-    count the rest as extra roundings of each gamma factor.
+    ``scale`` is s and ``shift`` is P, both exact rationals; ``q`` gives
+    the gamma factors q n + j + P of rho_n, and each factor (m, k, a) of
+    ``weight`` is m n + k + a for a rational a (a double is taken exactly).
 
     The class is named for the log-space coefficients it stored before the
     ratio table replaced them; the name stays because callers and the
@@ -191,47 +135,48 @@ class LogSeries:
     ``eval_block``.
     """
 
-    def __init__(self, scale: float, q: int, shift: float,
-                 weight: Callable[[int], tuple[tuple[float, float], ...]],
-                 label: str = "", shift_lo: float = 0.0, shift_error: float = 0.0):
-        self._scale = scale
+    def __init__(self, scale: Fraction, q: int, shift: Fraction,
+                 weight: tuple[tuple[int, int, float | Fraction], ...], label: str = ""):
+        s_num, s_den = Fraction(scale).as_integer_ratio()
+        self._shift = Fraction(shift).as_integer_ratio()
         self._q = q
-        self._shift = shift
-        self._shift_lo = shift_lo
-        self._weight = weight
         self.label = label
-        self._ratios: list[float] = []
+        # rho_n = r / t_n with P = N / D: r = s_num D^q and t_n = 4 s_den
+        # (n+1) prod_j ((q n + j) D + N). A weight factor with a = a_num /
+        # a_den is ((m a_den) n + k a_den + a_num) / a_den.
+        self._r = s_num * self._shift[1] ** q
+        self._t_unit = 4 * s_den
+        self._factors: list[tuple[int, int]] = []
+        self._weight_den = 1
+        for m, k, a in weight:
+            a_num, a_den = Fraction(a).as_integer_ratio()
+            self._factors.append((m * a_den, k * a_den + a_num))
+            self._weight_den *= a_den
+        self._divisors: list[int] = []     # t_n
+        self._weight_nums: list[int] = []  # w_n
+        self._ratios: list[float] = []     # rho_n and w(n), rounded to doubles
         self._weights: list[float] = []
-        # Roundings behind a term: 2q + 1 in each ratio (q sums, q - 1
-        # products, the factor 4(n+1) and the division) and 2 in applying
-        # it to the running term, plus 2 per weight factor (its sum, its
-        # product or the final multiplication). A gamma factor q n + j + P
-        # is at least P, so a shift off by d adds d / P to its relative
-        # error: d / (unit roundoff P) roundings in double, d / (double-
-        # double unit error P) operations in double-double.
-        distance = abs(shift_lo) + shift_error
-        smallest = shift - distance
-        if smallest > 0.0:
-            extra = distance / (UNIT_ROUNDOFF * smallest)
-            dd_extra = shift_error / (DD_UNIT_ERROR * smallest)
-        else:
-            extra = dd_extra = math.inf
-        self._step_ops = 2 * q + 3 + q * extra
-        self._dd_step_ops = q + 2 + q * dd_extra
-        self._weight_ops = 2 * len(weight(0))
+        # Roundings of a weight: its own and that of its product with a term.
+        self._weight_ops = 2 if weight else 0
 
     def _grow(self, size: int) -> None:
-        """Extend the ratio and weight tables to ``size`` entries."""
-        q, shift = self._q, self._shift
-        for n in range(len(self._weights), size):
-            w = 1.0
-            for k, a in self._weight(n):
-                w *= k + a
-            self._weights.append(w)
-            d = 4.0 * (n + 1)
+        """Extend the integer table, and its doubles, to ``size`` entries."""
+        q, (num, den) = self._q, self._shift
+        for n in range(len(self._divisors), size):
+            t = self._t_unit * (n + 1)
             for j in range(q):
-                d *= q * n + j + shift
-            self._ratios.append(self._scale / d)
+                t *= (q * n + j) * den + num
+            w = 1
+            for slope, offset in self._factors:
+                w *= slope * n + offset
+            self._divisors.append(t)
+            self._weight_nums.append(w)
+            try:
+                ratio = self._r / t  # correctly rounded, as is w / d
+            except OverflowError:
+                ratio = math.copysign(math.inf, self._r)
+            self._ratios.append(ratio)
+            self._weights.append(w / self._weight_den)
 
     @property
     def leading(self) -> float:
@@ -239,13 +184,27 @@ class LogSeries:
         self._grow(1)
         return self._weights[0]
 
+    def _coefficients(self, count: int) -> tuple[list[int], int]:
+        """a_n / a_0 for n < count, a_0 != 0, as integer numerators over one
+        positive denominator: w_n r^n prod_(n<=i<count-1) t_i over w_0
+        prod_(i<count-1) t_i, both times the sign of w_0."""
+        self._grow(count)
+        weights, divisors = self._weight_nums, self._divisors
+        sign = 1 if weights[0] > 0 else -1
+        nums, tail = [0] * count, 1  # tail = prod_(n<=i<count-1) t_i
+        for n in reversed(range(count)):
+            nums[n] = sign * weights[n] * self._r ** n * tail
+            if n:
+                tail *= divisors[n - 1]
+        return nums, sign * weights[0] * tail
+
     def _sum(self, u: float, rounded: bool = False) -> ScaledValue:
         """eval_scaled without its argument check, at u itself or, if
         ``rounded``, at a u within one rounding of the intended argument.
         eval_block calls this for its term count, so that wherever calls of
         eval_scaled are counted, a block counts as one evaluation."""
         ratios, weights = self._ratios, self._weights
-        step, ops = self._step_ops + rounded, self._weight_ops
+        step, ops = _STEP_OPS + rounded, self._weight_ops
         t = 1.0         # prod_(k<n) rho_k u^n, in units of 2**exponent
         s = 0.0
         exponent = 0
@@ -313,7 +272,7 @@ class LogSeries:
         if not (u.min() > 0.0 and math.isfinite(u_max)):
             raise ValueError("block arguments must be finite and > 0")
         nterms = self._sum(u_max, square).terms
-        step = self._step_ops + square
+        step = _STEP_OPS + square
         ratios, weights = self._ratios, self._weights
         t = np.ones_like(u)
         s = np.zeros_like(u)
@@ -360,59 +319,82 @@ class LogSeries:
         error = UNIT_ROUNDOFF * bound + np.abs(t) * abs(weights[nterms - 1])
         return s, exponent, error
 
+    def _walk(self, u_num: int, u_shift: int, bits: int) -> tuple[int, int, int]:
+        """The series at u = u_num / 2**u_shift in fixed point: d 2**bits
+        times the sum, a bound on its error in the same units, and the
+        number of terms.
+
+        A term T_n = prod_(k<n) rho_k u^n is held as an integer in units of
+        2**-bits, T_(n+1) = floor(T_n r u_num / (t_n 2**u_shift)). A floor
+        is off by less than one unit, and an error carried into a step is
+        scaled by the step's exact ratio, so the error of T_(n+1) is at most
+        ceil(|rho_n u| eps_n) + 1 units; the weight w_n multiplies it
+        exactly. The walk stops once a term falls to the error bound; by
+        then the terms alternate and fall, so the tail is bounded by the
+        last term kept.
+        """
+        r = self._r * u_num
+        abs_r = abs(r)
+        divisors, weights = self._divisors, self._weight_nums
+        term, error = 1 << bits, 0
+        total = bound = 0
+        n = 0
+        while True:
+            if n == len(weights):
+                self._grow(n + MIN_TERMS)
+            w = weights[n]
+            if w:
+                a = term * w
+                total += a
+                e = error * abs(w)
+                bound += e
+                if n + 1 >= MIN_TERMS and abs(a) <= bound:
+                    return total, bound + abs(a) + e, n + 1
+            div = divisors[n] << u_shift
+            term = term * r // div
+            error = -(-abs_r * error // div) + 1
+            n += 1
+            if n >= MAX_TERMS:
+                raise ConvergenceError(
+                    f"exact evaluation of {self.label} needed more than "
+                    f"{MAX_TERMS} terms"
+                )
+
     def eval_compensated(self, u: float, square: bool = False) -> ScaledValue:
-        """Double-double sum at u > 0 (at u^2 if ``square``), with an error
+        """Exact-tier sum at u > 0 (at u^2 if ``square``), with an error
         bound.
 
         The result has exponent 0: its mantissa is the value rounded to a
-        double, and its error bounds the distance from the exact sum. The
-        square is taken exactly, and every factor of the ratios and weights
-        is formed from doubles exactly or, with the double-double shift, to
-        within 2^-105, so the error comes from the double-double operations
-        and the shift's own error: q + 2 per step of the recurrence (one
-        more for the square), one per weight factor and one per addition.
+        double, and its error bounds the distance from the exact sum at the
+        exact u (or u^2), so it covers that rounding too. A double sum
+        first measures the peak partial sum and the double error; the
+        fixed-point walk starts with bits enough to resolve 2**-_GUARD_BITS
+        of that error (or of 1, whichever is smaller) and doubles them,
+        up to _MAX_BITS, until the sign is certified.
         """
         u = float(u)
         if not (math.isfinite(u) and u > 0.0):
             raise ValueError(f"series argument must be finite and > 0, got {u!r}")
-        q, shift, shift_lo = self._q, self._shift, self._shift_lo
+        sv = self._sum(u * u if square else u, square)
+        u_num, u_den = u.as_integer_ratio()
+        u_shift = u_den.bit_length() - 1
         if square:
-            zh, zl = dd_mul(self._scale, 0.0, *_two_prod(u, u))
-        else:
-            zh, zl = _two_prod(self._scale, u)
-        step = self._dd_step_ops + square
-        bh, bl = 1.0, 0.0  # prod_(k<n) rho_k u^n
-        sh, sl = 0.0, 0.0
-        peak = 0.0
-        weighted = 0.0  # sum of |term| * operations behind it, plus |partial sums|
-        n = 0
+            u_num, u_shift = u_num * u_num, 2 * u_shift
+        bits = (max(0, math.frexp(sv.peak)[1] + sv.exponent)
+                - min(0, math.frexp(sv.error)[1] + sv.exponent)
+                + sv.terms.bit_length() + _GUARD_BITS)
         while True:
-            th, tl = bh, bl
-            ops = n * step + 1
-            for k, a in self._weight(n):
-                th, tl = dd_mul_sum(th, tl, k, a)
-                ops += 1
-            sh, sl = dd_add(sh, sl, th, tl)
-            mag = abs(sh)
-            if mag > peak:
-                peak = mag
-            weighted += abs(th) * ops + mag
-            if n + 1 >= MIN_TERMS and abs(th) <= _DD_CUTOFF * peak:
-                break
-            bh, bl = dd_mul(bh, bl, zh, zl)
-            bh, bl = dd_div_d(bh, bl, 4.0 * (n + 1.0))
-            for j in range(q):
-                bh, bl = dd_div_sum(bh, bl, q * n + j, shift, shift_lo)
-            if not math.isfinite(bh):
+            total, bound, terms = self._walk(u_num, u_shift, bits)
+            den = self._weight_den << bits
+            try:
+                value = total / den
+                # Both quotients are correctly rounded, and the mantissa
+                # is within half an ulp of the sum.
+                error = (bound / den + 0.5 * math.ulp(value)) * (1.0 + 4.0 * UNIT_ROUNDOFF)
+            except OverflowError:
                 raise ConvergenceError(
-                    f"compensated evaluation of {self.label} overflowed at u={u!r}"
-                )
-            n += 1
-            if n >= MAX_TERMS:
-                raise ConvergenceError(
-                    f"compensated evaluation of {self.label} needed more than "
-                    f"{MAX_TERMS} terms at u={u!r}"
-                )
-        # The mantissa drops the low part of the sum.
-        error = DD_UNIT_ERROR * weighted + 2.0 * abs(th) + abs(sl)
-        return ScaledValue(sh, 0, peak, n + 1, error)
+                    f"exact evaluation of {self.label} overflowed at u={u!r}"
+                ) from None
+            if abs(value) > error or bits >= _MAX_BITS:
+                return ScaledValue(value, 0, _as_float(sv.peak, sv.exponent), terms, error)
+            bits *= 2

@@ -18,16 +18,17 @@ Everything reduces to weighted variants of the core series
     beta_n = (-1)^n c^n Gamma(P) / (4^n n! Gamma(q n + P)),
 
 for which  2^(p+1) Gamma(P) W(x) = x^(p+1) S(x^2),  g(x) = x S(x^2) and
-h(x) = x S(x).  Each carrier is a table of the exact ratios
+h(x) = x S(x).  Each carrier is one table of the exact ratios
 beta_(n+1) / beta_n = -c / (4 (n+1) prod_j (q n + j + P)) and of its
-weights, summed by one recurrence that rescales by powers of two, so no
-admissible parameter choice can overflow an evaluation, and every
-double-precision sum comes with a running error bound (see ``series``).
-Where that bound does not settle a result, the same recurrence is
-re-summed in double-double arithmetic (``compensated_carrier_value``).
+weights, as integers, summed by one recurrence that rescales by powers of
+two, so no admissible parameter choice can overflow an evaluation, and
+every double-precision sum comes with a running error bound (see
+``series``). Where that bound does not settle a result, the same table is
+re-summed exactly, in fixed point (``compensated_carrier_value``).
 
-P is held exactly (``exact_shift``), and the carriers' shift, the products
-(P)_m = Gamma(P+m) / Gamma(P) and the exact coefficients all derive from it.
+P is held exactly (``exact_shift``), and the carriers' tables, the
+products (P)_m = Gamma(P+m) / Gamma(P) and the exact coefficients all
+derive from it.
 
 Only the positive real axis is supported: every radius computed
 downstream is the smallest positive root of a real equation. For
@@ -41,7 +42,6 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable
 
 from .errors import BranchError, PoleError, PrecisionLossError
 from .gammafn import log_gamma
@@ -59,8 +59,8 @@ __all__ = [
 ]
 
 _LN2 = math.log(2.0)
-# eval_w and eval_normalized re-sum in double-double when the double
-# error bound exceeds this share of the value.
+# eval_w and eval_normalized re-sum exactly when the double error bound
+# exceeds this share of the value.
 _EVAL_W_REL = 1e-12
 
 
@@ -109,10 +109,9 @@ class NormalizationKind(Enum):
     H = "h"
 
 
-# Each carrier is sum_n beta_n * s^n * prod_f (k_f + a_f) * u^n. The table
-# maps a key to s and to the weight's factors at (p, n), each an integer
-# k_f plus a_f in {0, p}, so that double-double arithmetic forms every
-# factor exactly and the exact coefficients take it as a rational.
+# Each carrier is sum_n beta_n * s^n * prod_f (m_f n + k_f + a_f) * u^n.
+# The table maps a key to s and to the weight's factors (m_f, k_f, with_p):
+# integers m_f, k_f and a_f = p if with_p, else 0.
 #   w0            S(u):                     W-carrier, u = x^2
 #   w1            sum beta_n (2n+p+1) u^n:  W'-carrier
 #   w2            sum beta_n (2n+p+1)(2n+p) u^n: W''-carrier
@@ -122,18 +121,18 @@ class NormalizationKind(Enum):
 #   hp_subst      h'(4 u)        as a series in u
 #   alexg_subst   (x g'(x))' at x = 2 sqrt(u)
 #   alexh         (x h'(x))' at x = u
-_WEIGHTS: dict[str, tuple[int, Callable[[float, int], tuple[tuple[int, float], ...]]]] = {
-    "w0": (1, lambda p, n: ()),
-    "w1": (1, lambda p, n: ((2 * n + 1, p),)),
-    "w2": (1, lambda p, n: ((2 * n + 1, p), (2 * n, p))),
-    "g1": (1, lambda p, n: ((2 * n + 1, 0),)),
-    "g2": (1, lambda p, n: ((2 * n + 1, 0), (2 * n, 0))),
-    "h1": (1, lambda p, n: ((n + 1, 0),)),
-    "h2": (1, lambda p, n: ((n + 1, 0), (n, 0))),
-    "gp_subst": (4, lambda p, n: ((2 * n + 1, 0),)),
-    "hp_subst": (4, lambda p, n: ((n + 1, 0),)),
-    "alexg_subst": (4, lambda p, n: ((2 * n + 1, 0),) * 2),
-    "alexh": (1, lambda p, n: ((n + 1, 0),) * 2),
+_WEIGHTS: dict[str, tuple[int, tuple[tuple[int, int, bool], ...]]] = {
+    "w0": (1, ()),
+    "w1": (1, ((2, 1, True),)),
+    "w2": (1, ((2, 1, True), (2, 0, True))),
+    "g1": (1, ((2, 1, False),)),
+    "g2": (1, ((2, 1, False), (2, 0, False))),
+    "h1": (1, ((1, 1, False),)),
+    "h2": (1, ((1, 1, False), (1, 0, False))),
+    "gp_subst": (4, ((2, 1, False),)),
+    "hp_subst": (4, ((1, 1, False),)),
+    "alexg_subst": (4, ((2, 1, False),) * 2),
+    "alexh": (1, ((1, 1, False),) * 2),
 }
 
 
@@ -151,55 +150,31 @@ def shift_rising(params: StruveParams, m: int) -> Fraction:
 
 def exact_coefficients(params: StruveParams, key: str, count: int) -> tuple[list[int], int]:
     """a_n / a_0, n < count, of a carrier with a_0 != 0, exactly: integer
-    numerators over one common positive denominator.
-
-    With P = N/D, c = c_n/c_d and p = p_n/p_d, rho_n = r / t_n for
-    r = -c_n s D^q and t_n = 4 c_d (n+1) prod_j ((q n + j) D + N); a weight
-    factor k + a, a in {0, p}, is (k p_d + (p_n if a else 0)) / p_d.
-    """
+    numerators over one common positive denominator, from the carrier's
+    integer table (see ``series.LogSeries``)."""
     if not isinstance(count, int) or count < 1:
         raise ValueError(f"count must be an integer >= 1, got {count!r}")
-    base, factors = _WEIGHTS[key]
-    num, den = exact_shift(params).as_integer_ratio()
-    (p_num, p_den), (c_num, c_den) = params.p.as_integer_ratio(), params.c.as_integer_ratio()
-    weights = [math.prod(k * p_den + (p_num if a else 0) for k, a in factors(params.p, n))
-               for n in range(count)]
-    sign = 1 if weights[0] > 0 else -1
-    q = params.q
-    r = -c_num * base * den ** q
-    nums, tail = [0] * count, 1  # tail = prod_(n<=i<count-1) t_i
-    for n in reversed(range(count)):
-        nums[n] = sign * weights[n] * r ** n * tail
-        if n:
-            tail *= 4 * c_den * n * math.prod((q * n - q + j) * den + num for j in range(q))
-    return nums, sign * weights[0] * tail
+    return carrier(params, key)._coefficients(count)
 
 
 @lru_cache(maxsize=4096)
 def carrier(params: StruveParams, key: str) -> LogSeries:
-    """The series sum_n beta_n * s^n * weight(n) * u^n for a weight key.
-
-    The series takes the exact P as a double-double hi + lo, within half
-    an ulp of lo, and its error bounds cover the rest, so a certified sign
-    is that of the series at the exact P. The cache keeps the most recent
-    4096 series, the carriers of several hundred parameter points.
+    """The series sum_n beta_n * s^n * weight(n) * u^n for a weight key, at
+    the exact c, p and P, so that a certified sign is that of the series
+    at the exact parameters. The cache keeps the most recent 4096 series,
+    the carriers of several hundred parameter points.
     """
     base, factors = _WEIGHTS[key]
     p = params.p
-    num, den = exact_shift(params).as_integer_ratio()
-    hi = num / den
-    hi_num, hi_den = hi.as_integer_ratio()
-    lo = (num * hi_den - hi_num * den) / (den * hi_den)
-    return LogSeries(-params.c * base, params.q, hi,
-                     lambda n: factors(p, n),
-                     label=f"{key}[q={params.q},p={p},b={params.b},c={params.c},delta={params.delta}]",
-                     shift_lo=lo, shift_error=math.ulp(lo))
+    return LogSeries(-base * Fraction(params.c), params.q, exact_shift(params),
+                     tuple((m, k, p if with_p else 0.0) for m, k, with_p in factors),
+                     label=f"{key}[q={params.q},p={p},b={params.b},c={params.c},delta={params.delta}]")
 
 
 def compensated_carrier_value(params: StruveParams, key: str, u: float,
                               square: bool = False) -> ScaledValue:
-    """Double-double sum of a carrier series at u > 0 (at u^2 if
-    ``square``), with an error bound (``LogSeries.eval_compensated``)."""
+    """Exact-tier sum of a carrier series at u > 0 (at u^2 if ``square``),
+    with an error bound (``LogSeries.eval_compensated``)."""
     return carrier(params, key).eval_compensated(u, square)
 
 
@@ -220,8 +195,8 @@ def _check_abscissa(x: float) -> float:
 
 
 def _carrier_value(params: StruveParams, key: str, x: float, square: bool) -> ScaledValue:
-    """The carrier's sum at x (at x^2 if ``square``), re-summed in
-    double-double where the double error bound exceeds _EVAL_W_REL."""
+    """The carrier's sum at x (at x^2 if ``square``), re-summed exactly
+    where the double error bound exceeds _EVAL_W_REL."""
     sv = carrier(params, key).eval_scaled(x, square)
     if sv.error > _EVAL_W_REL * abs(sv.mantissa):
         sv = compensated_carrier_value(params, key, x, square)
@@ -232,7 +207,7 @@ def eval_w(params: StruveParams, x: float, deriv: int = 0) -> float:
     """Evaluate W, W' or W'' at x > 0 from the term-wise differentiated series.
 
     The double-precision sum is used when its error bound is within 1e-12
-    of its value; otherwise the series is re-summed in double-double.
+    of its value; otherwise the series is re-summed exactly.
     """
     if deriv not in (0, 1, 2):
         raise ValueError(f"deriv must be 0, 1 or 2, got {deriv!r}")
@@ -249,7 +224,7 @@ def eval_w(params: StruveParams, x: float, deriv: int = 0) -> float:
 def eval_normalized(params: StruveParams, kind: NormalizationKind, x: float) -> float:
     """Evaluate one of the normalized forms f, g, h at x > 0, summed as in
     eval_w. f needs W(x) > 0: a certified negative sign raises BranchError,
-    a sign not even the double-double sum certifies PrecisionLossError."""
+    a sign not even the exact re-sum certifies PrecisionLossError."""
     x = _check_abscissa(x)
     kind = NormalizationKind(kind)
     sv = _carrier_value(params, "w0", x, kind is not NormalizationKind.H)

@@ -13,11 +13,12 @@ only mean a missed sign change, not mathematics.
 Every sign the scan and the polish act on is certified, for the series
 at the exact abscissa and parameters (see ``struve.carrier``). The sign
 of the double-precision sum counts only where the value exceeds its error
-bound; elsewhere the series is re-summed in double-double
-(``certified_sign``). A scan point whose sign not even that certifies
-raises PrecisionLossError; inside a bracket, such points end the polish
-at the certified bracket reached so far. Both ends of every returned
-bracket therefore have certified, opposite signs.
+bound; elsewhere the series is re-summed exactly, in fixed point at a
+precision that doubles until the sign is certified (``certified_sign``).
+A scan point whose sign not even the largest precision certifies raises
+PrecisionLossError; inside a bracket, such points end the polish at the
+certified bracket reached so far. Both ends of every returned bracket
+therefore have certified, opposite signs.
 
 The polish, ``_polish``, is the package's one root loop; ``radii`` and the
 Bessel oracle use it too. It is a regula falsi with the Anderson–Björck
@@ -37,7 +38,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import NumericalError, PrecisionLossError, ScanOverflowError
-from .series import LogSeries, ScaledValue
+from .series import LogSeries, ScaledValue, _as_float
 from .struve import StruveParams, carrier, compensated_carrier_value
 
 __all__ = [
@@ -129,17 +130,16 @@ def family_series(params: StruveParams, family: AuxiliaryFamily) -> LogSeries:
 
 
 def _compensated(params: StruveParams, family: AuxiliaryFamily, t: float) -> ScaledValue:
-    """The double-double sum of the family's series at t."""
+    """The exact-tier sum of the family's series at t."""
     return compensated_carrier_value(params, _CARRIER_KEY[family], t,
                                      family in _SQUARED)
 
 
 def certified_sign(params: StruveParams, family: AuxiliaryFamily, t: float) -> int:
-    """Sign of the family's function at t from the compensated summation.
+    """Sign of the family's function at t from the exact-tier sum.
 
-    Returns 0 when the value does not exceed the error bound of the
-    double-double sum, i.e. cannot be distinguished from zero even at
-    double-double precision.
+    Returns 0 when the value does not exceed the error bound of that sum
+    at its largest precision, i.e. cannot be distinguished from zero.
     """
     return _compensated(params, AuxiliaryFamily(family), float(t)).certain_sign
 
@@ -147,19 +147,11 @@ def certified_sign(params: StruveParams, family: AuxiliaryFamily, t: float) -> i
 def _value_at(series: LogSeries, family: AuxiliaryFamily, t: float,
               params: StruveParams) -> ScaledValue:
     """The double sum at t where its error bound certifies the sign, else
-    the double-double sum."""
+    the exact-tier sum."""
     sv = series.eval_scaled(t, family in _SQUARED)
     if sv.certain_sign == 0:
         sv = _compensated(params, family, t)
     return sv
-
-
-def _as_float(mantissa: float, exponent: int) -> float:
-    """mantissa * 2**exponent, saturating to +-inf instead of overflowing."""
-    try:
-        return math.ldexp(mantissa, int(exponent))
-    except OverflowError:
-        return math.copysign(math.inf, mantissa)
 
 
 def _polish(at: Callable[[float], tuple[float, int]], lo: float, hi: float,
@@ -281,7 +273,7 @@ def _scan(series: LogSeries, family: AuxiliaryFamily, count: int,
             if s == 0:
                 raise PrecisionLossError(
                     f"the sign of {series.label} at abscissa {t!r} "
-                    f"cannot be certified even in double-double precision"
+                    f"cannot be certified even by the exact re-sum"
                 )
             if s != prev_s:
                 flip, f_flip = t, v
@@ -359,7 +351,7 @@ def find_zeros(params: StruveParams, family: AuxiliaryFamily, count: int,
 
     Each zero is bracketed by a certified sign change and polished
     (``_polish``) to interval width 1e-12 * (1 + zero), or to the narrowest
-    bracket whose ends double-double summation still certifies.
+    bracket whose ends the exact re-sum still certifies.
     ``reference`` optionally supplies a sequence whose zeros must interlace
     the requested ones (e.g. pass the W zeros when scanning W'); an
     interlacing violation triggers half-step rescans. The brackets of a
@@ -368,7 +360,7 @@ def find_zeros(params: StruveParams, family: AuxiliaryFamily, count: int,
 
     Raises ScanOverflowError when fewer than ``count`` zeros lie below
     MAX_ABSCISSA, and PrecisionLossError when the sign at a scan point
-    cannot be certified even in double-double precision.
+    cannot be certified even by the exact re-sum at its largest precision.
     """
     family = AuxiliaryFamily(family)
     if not isinstance(count, int) or count < 1 or count > MAX_COUNT:

@@ -2,6 +2,7 @@
 
 import mpmath as mp
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
@@ -23,8 +24,8 @@ def mp_weighted_carrier(params: StruveParams, key: str, u, dps: int = 60):
         n = 0
         while True:
             term = z ** n * g_shift / (mp.factorial(n) * mp.gamma(params.q * n + shift))
-            for k, a in factors(params.p, n):
-                term *= mp.mpf(k) + mp.mpf(a)
+            for m, k, with_p in factors:
+                term *= m * n + k + (mp.mpf(params.p) if with_p else 0)
             total += term
             biggest = max(biggest, abs(term))
             if n > 8 and abs(term) < mp.mpf(10) ** (-dps - 5) * biggest:
@@ -67,3 +68,17 @@ def test_error_bound_holds(q, p, b, c, delta, key, frac, square):
                           (mant[0], int(exponent[0]), error[0]),
                           (dd.mantissa, 0, dd.error)):
             assert abs(mp.ldexp(mp.mpf(m), e) - exact) <= mp.ldexp(mp.mpf(err), e)
+
+
+@pytest.mark.parametrize("q, x", [(1, 66.6262), (1, 150.0), (2, 1131.0)])
+def test_exact_tier_far_out(q, x):
+    # Here the double sum cancels by 25 to 60 digits, far below its own
+    # precision. The exact re-sum certifies the sign, and its bound holds
+    # at the exact x^2 against a 120-digit sum.
+    params = StruveParams(q=q, p=0.5, b=1.0, c=1.0, delta=1.0)
+    sv = compensated_carrier_value(params, "w0", x, square=True)
+    assert sv.exponent == 0
+    assert sv.certain_sign != 0
+    with mp.workdps(120):
+        exact = mp_weighted_carrier(params, "w0", mp.mpf(x) ** 2, dps=120)
+        assert abs(mp.mpf(sv.mantissa) - exact) <= sv.error

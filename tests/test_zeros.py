@@ -14,7 +14,26 @@ from struveradii import (
 from struveradii.struve import NormalizationKind
 from struveradii.zeros import AuxiliaryFamily, certified_sign, family_series
 
-from conftest import mp_carrier
+from conftest import mp_carrier, mp_shift
+
+def mp_carrier_sign(params: StruveParams, x: float, dps: int = 120) -> int:
+    """Sign of S(x^2) at the exact x^2, from a dps-digit sum of the ratio
+    recurrence run until its terms fall below 10^-dps of the largest. The
+    sum must stand 20 digits clear of that level."""
+    with mp.workdps(dps):
+        shift = mp_shift(params)
+        z = -mp.mpf(params.c) * mp.mpf(x) ** 2 / 4
+        term = total = biggest = mp.mpf(1)
+        n = 0
+        while abs(term) >= mp.mpf(10) ** -dps * biggest:
+            term *= z / ((n + 1) * mp.fprod(params.q * n + j + shift
+                                            for j in range(params.q)))
+            total += term
+            biggest = max(biggest, abs(term))
+            n += 1
+        assert abs(total) > mp.mpf(10) ** (20 - dps) * biggest
+        return int(mp.sign(total))
+
 
 # Bessel J_1 zeros and J_1' zeros, frozen from the mpmath oracle.
 J1_ZEROS = (3.8317059702075123, 7.0155866698156188)
@@ -74,6 +93,18 @@ class TestFindZeros:
         for lo, hi in seq.brackets:
             assert mp.sign(mp_carrier(sparse, lo * lo, dps=80)) * mp.sign(
                 mp_carrier(sparse, hi * hi, dps=80)) < 0
+
+    @pytest.mark.parametrize("q, count", [(1, 24), (2, 48)])
+    def test_deep_zeros_certified(self, q, count):
+        # Out to x = 76 (q = 1) and x = 1769 (q = 2) the alternating sum
+        # cancels by 30 to 60 digits from its peak term down to its value,
+        # so the scan and the polish certify their signs by the exact
+        # re-sum. A 120-digit sum confirms both ends of every bracket.
+        params = StruveParams(q=q, p=0.5, b=1.0, c=1.0, delta=1.0)
+        seq = find_zeros(params, AuxiliaryFamily.W, count)
+        assert len(seq.zeros) == count
+        for lo, hi in seq.brackets:
+            assert mp_carrier_sign(params, lo) * mp_carrier_sign(params, hi) < 0
 
     def test_sign_change_at_each_zero(self):
         # certified signs straddle every reported zero at h = 1e-8 (1 + z)

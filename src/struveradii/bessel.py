@@ -16,10 +16,11 @@ import math
 from enum import Enum
 from fractions import Fraction
 
-from .bounds import BoundsPair, BoundRadiusKind
+from .bounds import _FAMILIES, BoundsPair
 from .errors import ConvergenceError, ScanOverflowError
+from .radii import _BOUNDED
 from .struve import StruveParams
-from .zeros import AuxiliaryFamily, _polish
+from .zeros import _polish
 
 __all__ = [
     "bessel_j",
@@ -121,22 +122,13 @@ def reduce_to_bessel(nu: float) -> StruveParams:
 
 
 class CorollaryFamily(Enum):
-    """Which specialized k = 1 bound pair to evaluate."""
+    """Which specialized k = 1 bound pair to evaluate, by its CLI flag."""
 
     F_STAR = "f-starlike"
     G_STAR = "g-starlike"
     H_STAR = "h-starlike"
     G_CONV = "g-convex"
     H_CONV = "h-convex"
-
-
-_COROLLARY_AUX = {
-    CorollaryFamily.F_STAR: (AuxiliaryFamily.W_PRIME, BoundRadiusKind.STARLIKE0),
-    CorollaryFamily.G_STAR: (AuxiliaryFamily.G_PRIME_SUBST, BoundRadiusKind.STARLIKE0),
-    CorollaryFamily.H_STAR: (AuxiliaryFamily.H_PRIME_SUBST, BoundRadiusKind.STARLIKE0),
-    CorollaryFamily.G_CONV: (AuxiliaryFamily.ALEX_G_SUBST, BoundRadiusKind.CONVEX0),
-    CorollaryFamily.H_CONV: (AuxiliaryFamily.ALEX_H, BoundRadiusKind.CONVEX0),
-}
 
 
 def corollary_bounds(nu: float, which: CorollaryFamily) -> BoundsPair:
@@ -159,6 +151,6 @@ def corollary_bounds(nu: float, which: CorollaryFamily) -> BoundsPair:
     else:  # H_CONV
         lower = nu + 1.0
         upper = 16.0 * (nu + 1.0) * (nu + 2.0) / (7.0 * nu + 23.0)
-    family, radius_kind = _COROLLARY_AUX[which]
+    family = _BOUNDED[which.value][0]
     return BoundsPair(k=1, lower=lower, upper=upper, family=family,
-                      radius_kind=radius_kind)
+                      radius_kind=_FAMILIES[family][0])

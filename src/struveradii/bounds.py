@@ -26,6 +26,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import PrecisionLossError
+from .radii import _BOUNDED
 from .struve import StruveParams, exact_coefficients, shift_rising
 from .zeros import _CARRIER_KEY, AuxiliaryFamily
 
@@ -55,15 +56,9 @@ class BoundRadiusKind(Enum):
 
 
 # Per family: the radius bounded, and (s, e) with rho = (r / s)^e for the
-# radius r. W' zeros enter the sums as eps^2; the g-side substitutions map
-# u back through 2 sqrt(u); h' lives at 4u; alex-h is in the radius itself.
-_FAMILIES = {
-    AuxiliaryFamily.W_PRIME: (BoundRadiusKind.STARLIKE0, 1, 2),
-    AuxiliaryFamily.G_PRIME_SUBST: (BoundRadiusKind.STARLIKE0, 2, 2),
-    AuxiliaryFamily.H_PRIME_SUBST: (BoundRadiusKind.STARLIKE0, 4, 1),
-    AuxiliaryFamily.ALEX_G_SUBST: (BoundRadiusKind.CONVEX0, 2, 2),
-    AuxiliaryFamily.ALEX_H: (BoundRadiusKind.CONVEX0, 1, 1),
-}
+# radius r, as the radius equations sum the family's carrier.
+_FAMILIES = {family: (BoundRadiusKind(f"{kind.value}0"), s, e)
+             for family, kind, _, s, e in _BOUNDED.values()}
 
 # S_1 = A c Gamma(P)/Gamma(q+P) and S_2 = S_1^2 - B c^2 Gamma(P)/Gamma(2q+P),
 # with (A, B) per family as functions of p.

@@ -26,20 +26,12 @@ from typing import Any
 from .bounds import bounds_for, rayleigh_sums_newton, statement_form_bounds
 from .errors import NumericalError
 from .grid import default_grid, load_grid
-from .radii import RadiusKind, RadiusQuery, radius_convex, radius_starlike
+from .radii import _BOUNDED, RadiusKind, RadiusQuery, radius_convex, radius_starlike
 from .struve import NormalizationKind, StruveParams, eval_normalized, eval_w
 from .verify import SUITES, run_suite
 from .zeros import AuxiliaryFamily, find_zeros
 
 SCHEMA_VERSION = "1"
-
-_BOUND_FAMILY_FLAGS = {
-    "f-starlike": AuxiliaryFamily.W_PRIME,
-    "g-starlike": AuxiliaryFamily.G_PRIME_SUBST,
-    "h-starlike": AuxiliaryFamily.H_PRIME_SUBST,
-    "g-convex": AuxiliaryFamily.ALEX_G_SUBST,
-    "h-convex": AuxiliaryFamily.ALEX_H,
-}
 
 _ZERO_FAMILY_FLAGS = {f.value: f for f in AuxiliaryFamily}
 
@@ -92,7 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bounds = sub.add_parser("bounds", help="power-sum bounds for an alpha=0 radius")
     _add_param_flags(p_bounds)
-    p_bounds.add_argument("--family", choices=sorted(_BOUND_FAMILY_FLAGS),
+    p_bounds.add_argument("--family", choices=sorted(_BOUNDED),
                           required=True)
     p_bounds.add_argument("--k", type=int, default=1)
     _add_format_flag(p_bounds)
@@ -197,7 +189,7 @@ def _run_radius(args: argparse.Namespace) -> tuple[dict, int]:
 
 def _run_bounds(args: argparse.Namespace) -> tuple[dict, int]:
     params = _params_from(args)
-    family = _BOUND_FAMILY_FLAGS[args.family]
+    family = _BOUNDED[args.family][0]
     pair = bounds_for(params, family, args.k)
     sums = rayleigh_sums_newton(params, family, args.k + 1)
     diagnostics: dict[str, Any] = {

@@ -12,13 +12,12 @@ and -1 required at the right end (else BracketError). Solving the
 quotient form rather than the cleared-denominator form avoids spurious
 roots at zeros of W or W'.
 
-Search intervals, bounded by first zeros from the zeros module:
-
-    starlike f, g   (0, x1)     x1 = first zero of W
-    starlike h      (0, x1^2)
-    convex f        (0, x1')    x1' = first zero of W'
-    convex g        (0, first zero of g')
-    convex h        (0, first zero of h')
+Every quotient is a ratio of the zero families' carriers (``zeros``):
+r g'/g = g'/(g/r), 1 + r g''/g' = (r g')'/g', likewise for h, and f on W,
+W' and W''. The search interval ends at the first zero of the family of
+the row's last denominator (W' for convex f: W' zeros precede W zeros),
+mapped back to r. The same rows say which family bounds which alpha = 0
+radius (``_BOUNDED``, read by ``bounds``, ``bessel``, ``verify``, ``cli``).
 """
 
 from __future__ import annotations
@@ -26,12 +25,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
 
 from .errors import BracketError
-from .series import UNIT_ROUNDOFF, scaled_ratio
-from .struve import NormalizationKind, StruveParams, carrier, compensated_carrier_value
-from .zeros import AuxiliaryFamily, _polish, first_zero
+from .series import UNIT_ROUNDOFF, ScaledValue, scaled_ratio
+from .struve import (_WEIGHTS, NormalizationKind, StruveParams, carrier,
+                     compensated_carrier_value)
+from .zeros import _CARRIER_KEY, _SQUARED, _polish, first_zero
 
 __all__ = [
     "RadiusKind",
@@ -83,49 +82,70 @@ class RadiusResult:
     upper_limit: float
 
 
-# Each quotient as data: const + sum coef * num / den over carriers summed
-# at u = r^2 (f, g) or u = r (h). A row maps p to (const, ((coef, num, den),
-# ...)); a const is within one rounding of exact, a coef within two.
-_EQUATIONS: dict[tuple[str, str], Callable[[float], tuple]] = {
-    ("starlike", "f"): lambda p: (0.0, ((1.0 / (p + 1.0), "w1", "w0"),)),
-    ("starlike", "g"): lambda p: (-p, ((1.0, "w1", "w0"),)),
-    ("starlike", "h"): lambda p: ((1.0 - p) / 2.0, ((0.5, "w1", "w0"),)),
-    ("convex", "f"): lambda p: (1.0, ((-p / (p + 1.0), "w1", "w0"), (1.0, "w2", "w1"))),
-    ("convex", "g"): lambda p: (1.0, ((1.0, "g2", "g1"),)),
-    ("convex", "h"): lambda p: (1.0, ((1.0, "h2", "h1"),)),
+# Each quotient as data: const + sum_i coef_i num_i / den_i over carriers,
+# a row holding p -> (const, coef_1, ...) and the keys (num_i, den_i). Rows
+# of f and g sum at u = r^2 and rows of h at u = r, each carrier at u / s
+# for its scale s (``struve._WEIGHTS``): at (r / sqrt(s))^2 or at r / s,
+# exact dyadic arguments. A const is within one rounding of exact, a coef
+# within two.
+_EQUATIONS = {
+    ("starlike", "f"): (lambda p: (0.0, 1.0 / (p + 1.0)), (("w1", "w0"),)),
+    ("starlike", "g"): (lambda p: (0.0, 1.0), (("gp_subst", "w0"),)),
+    ("starlike", "h"): (lambda p: (0.0, 1.0), (("hp_subst", "w0"),)),
+    ("convex", "f"): (lambda p: (1.0, -p / (p + 1.0), 1.0), (("w1", "w0"), ("w2", "w1"))),
+    ("convex", "g"): (lambda p: (0.0, 1.0), (("alexg_subst", "gp_subst"),)),
+    ("convex", "h"): (lambda p: (0.0, 1.0), (("alexh", "hp_subst"),)),
+}
+
+_FAMILY = {key: family for family, key in _CARRIER_KEY.items()}
+
+
+def _scale(key: str, norm: str) -> tuple[int, int]:
+    """(s, e) such that the row of ``norm`` sums the carrier at (r / s)^e."""
+    base = _WEIGHTS[key][0]
+    return (base, 1) if norm == "h" else (math.isqrt(base), 2)
+
+
+# A one-term row has const 0, so at alpha = 0 its radius is the first zero
+# of its numerator's family. By the family's CLI flag: the family, the row,
+# and the (s, e) that make the family's root rho = (r / s)^e.
+_BOUNDED = {
+    f"{norm}-{kind}": (_FAMILY[terms[0][0]], RadiusKind(kind), NormalizationKind(norm),
+                       *_scale(terms[0][0], norm))
+    for (kind, norm), (_, terms) in _EQUATIONS.items() if len(terms) == 1
 }
 
 
-def _upper_limit(params: StruveParams, kind: RadiusKind,
-                 norm: NormalizationKind) -> float:
-    if kind is RadiusKind.STARLIKE:
-        w1 = first_zero(params, AuxiliaryFamily.W)
-        return w1 * w1 if norm is NormalizationKind.H else w1
-    if norm is NormalizationKind.F:
-        return first_zero(params, AuxiliaryFamily.W_PRIME)
-    if norm is NormalizationKind.G:
-        return 2.0 * math.sqrt(first_zero(params, AuxiliaryFamily.G_PRIME_SUBST))
-    return 4.0 * first_zero(params, AuxiliaryFamily.H_PRIME_SUBST)
+def _upper_limit(params: StruveParams, key: str, norm: str) -> float:
+    """The first zero of the carrier ``key``'s family, as a radius."""
+    family = _FAMILY[key]
+    s, e = _scale(key, norm)
+    z = first_zero(params, family)  # sqrt(u) for W and W', else u
+    if (family in _SQUARED) != (e == 2):
+        z = z * z if e == 1 else math.sqrt(z)
+    return s * z
 
 
 def _solve(query: RadiusQuery) -> RadiusResult:
-    params, alpha = query.params, query.alpha
-    const, terms = _EQUATIONS[query.kind.value, query.normalization.value](params.p)
-    keys = list(dict.fromkeys(k for _, num, den in terms for k in (num, den)))
+    params, alpha, norm = query.params, query.alpha, query.normalization.value
+    row, pairs = _EQUATIONS[query.kind.value, norm]
+    const, *coefs = row(params.p)
+    keys = list(dict.fromkeys(k for pair in pairs for k in pair))
     series = [carrier(params, k) for k in keys]
-    terms = [(coef, abs(coef), keys.index(num), keys.index(den)) for coef, num, den in terms]
-    squared = query.normalization is not NormalizationKind.H
+    scales = [_scale(k, norm)[0] for k in keys]
+    terms = [(coef, abs(coef), keys.index(num), keys.index(den))
+             for coef, (num, den) in zip(coefs, pairs)]
+    squared = norm != "h"
 
-    def excess(r: float, compensated: bool = False) -> tuple[float, float, float]:
-        """quotient - alpha at r, the error bound of its carrier sums and
-        that of its own roundings: sums n~, d~ with bounds e_n, e_d put n/d
-        within (e_n + |n~/d~| e_d) / (|d~| - e_d) of n~/d~ (unbounded if d's
-        sign is uncertain); roundings: 4 units per term, 1 per constant and
-        partial sum, 8 per ratio bound, all doubled."""
-        if compensated:
-            values = [compensated_carrier_value(params, k, r, squared) for k in keys]
-        else:
-            values = [s.eval_scaled(r, squared) for s in series]
+    def doubles(r: float) -> list[ScaledValue]:
+        return [c.eval_scaled(r / s, squared) for c, s in zip(series, scales)]
+
+    def excess(values: list[ScaledValue]) -> tuple[float, float, float]:
+        """quotient - alpha from the carriers' sums, the error bound of
+        those sums and that of its own roundings: sums n~, d~ with bounds
+        e_n, e_d put n/d within (e_n + |n~/d~| e_d) / (|d~| - e_d) of n~/d~
+        (unbounded if d's sign is uncertain); roundings: 4 units per term, 1
+        per constant and partial sum, 8 per ratio bound, all doubled."""
         value = const - alpha
         error, rounding = 0.0, abs(const) + abs(value)
         for coef, abs_coef, i, j in terms:
@@ -142,17 +162,21 @@ def _solve(query: RadiusQuery) -> RadiusResult:
         return value, (1.0 + 8.0 * _EPS) * error, _EPS * rounding
 
     def at(r: float) -> tuple[float, int]:
-        """quotient - alpha at r and its certified sign. The exact re-sum
-        shares the rounding term of the quotient, so it is skipped
-        where that term alone reaches the value."""
-        value, error, rounding = excess(r)
+        """quotient - alpha at r and its certified sign. The exact re-sums
+        start from the double sums and share the rounding term of the
+        quotient, so they are skipped where that term alone reaches the
+        value."""
+        values = doubles(r)
+        value, error, rounding = excess(values)
         if rounding < abs(value) <= error + rounding:
-            value, error, rounding = excess(r, True)
+            value, error, rounding = excess([
+                compensated_carrier_value(params, k, r / s, squared, v)
+                for k, s, v in zip(keys, scales, values)])
         if abs(value) > error + rounding:
             return value, (value > 0.0) - (value < 0.0)
         return value, 0
 
-    upper = _upper_limit(params, query.kind, query.normalization)
+    upper = _upper_limit(params, pairs[-1][1], norm)
     hi = _BRACKET_HI * upper
     f_hi, s = at(hi)
     if s != -1:
@@ -162,7 +186,7 @@ def _solve(query: RadiusQuery) -> RadiusResult:
     return RadiusResult(
         value=value,
         bracket=(lo, hi),
-        residual=excess(value)[0],
+        residual=excess(doubles(value))[0],
         iterations=steps,
         upper_limit=upper,
     )

@@ -360,14 +360,16 @@ class LogSeries:
                     f"{MAX_TERMS} terms"
                 )
 
-    def eval_compensated(self, u: float, square: bool = False) -> ScaledValue:
+    def eval_compensated(self, u: float, square: bool = False,
+                         double: ScaledValue | None = None) -> ScaledValue:
         """Exact-tier sum at u > 0 (at u^2 if ``square``), with an error
         bound.
 
         The result has exponent 0: its mantissa is the value rounded to a
         double, and its error bounds the distance from the exact sum at the
         exact u (or u^2), so it covers that rounding too. A double sum
-        first measures the peak partial sum and the double error; the
+        (``double``, the caller's ``eval_scaled(u, square)`` if it has one)
+        measures the peak partial sum and the double error; the
         fixed-point walk starts with bits enough to resolve 2**-_GUARD_BITS
         of that error (or of 1, whichever is smaller) and doubles them,
         up to _MAX_BITS, until the sign is certified.
@@ -375,7 +377,7 @@ class LogSeries:
         u = float(u)
         if not (math.isfinite(u) and u > 0.0):
             raise ValueError(f"series argument must be finite and > 0, got {u!r}")
-        sv = self._sum(u * u if square else u, square)
+        sv = double or self._sum(u * u if square else u, square)
         u_num, u_den = u.as_integer_ratio()
         u_shift = u_den.bit_length() - 1
         if square:

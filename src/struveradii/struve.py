@@ -111,12 +111,11 @@ class NormalizationKind(Enum):
 
 # Each carrier is sum_n beta_n * s^n * prod_f (m_f n + k_f + a_f) * u^n.
 # The table maps a key to s and to the weight's factors (m_f, k_f, with_p):
-# integers m_f, k_f and a_f = p if with_p, else 0.
+# integers m_f, k_f and a_f = p if with_p, else 0. A carrier with s = 4 is
+# summed at (x/2)^2 (g side) or x/4 (h side), exact in binary arguments.
 #   w0            S(u):                     W-carrier, u = x^2
 #   w1            sum beta_n (2n+p+1) u^n:  W'-carrier
 #   w2            sum beta_n (2n+p+1)(2n+p) u^n: W''-carrier
-#   g1 / g2       g'(x) = G1(x^2), g''(x) = G2(x^2)/x
-#   h1 / h2       h'(x) = H1(x),   h''(x) = H2(x)/x
 #   gp_subst      g'(2 sqrt(u))  as a series in u
 #   hp_subst      h'(4 u)        as a series in u
 #   alexg_subst   (x g'(x))' at x = 2 sqrt(u)
@@ -125,10 +124,6 @@ _WEIGHTS: dict[str, tuple[int, tuple[tuple[int, int, bool], ...]]] = {
     "w0": (1, ()),
     "w1": (1, ((2, 1, True),)),
     "w2": (1, ((2, 1, True), (2, 0, True))),
-    "g1": (1, ((2, 1, False),)),
-    "g2": (1, ((2, 1, False), (2, 0, False))),
-    "h1": (1, ((1, 1, False),)),
-    "h2": (1, ((1, 1, False), (1, 0, False))),
     "gp_subst": (4, ((2, 1, False),)),
     "hp_subst": (4, ((1, 1, False),)),
     "alexg_subst": (4, ((2, 1, False),) * 2),
@@ -172,10 +167,12 @@ def carrier(params: StruveParams, key: str) -> LogSeries:
 
 
 def compensated_carrier_value(params: StruveParams, key: str, u: float,
-                              square: bool = False) -> ScaledValue:
+                              square: bool = False,
+                              double: ScaledValue | None = None) -> ScaledValue:
     """Exact-tier sum of a carrier series at u > 0 (at u^2 if ``square``),
-    with an error bound (``LogSeries.eval_compensated``)."""
-    return carrier(params, key).eval_compensated(u, square)
+    with an error bound (``LogSeries.eval_compensated``, which takes the
+    caller's double sum at the same argument as ``double``)."""
+    return carrier(params, key).eval_compensated(u, square, double)
 
 
 def _apply_log_prefactor(sv: ScaledValue, ln_pref: float) -> float:
@@ -199,7 +196,7 @@ def _carrier_value(params: StruveParams, key: str, x: float, square: bool) -> Sc
     where the double error bound exceeds _EVAL_W_REL."""
     sv = carrier(params, key).eval_scaled(x, square)
     if sv.error > _EVAL_W_REL * abs(sv.mantissa):
-        sv = compensated_carrier_value(params, key, x, square)
+        sv = compensated_carrier_value(params, key, x, square, sv)
     return sv
 
 

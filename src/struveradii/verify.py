@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 from .bessel import bessel_j, bessel_j_zeros, corollary_bounds, CorollaryFamily, reduce_to_bessel
 from .bounds import bounds_for
-from .radii import RadiusKind, RadiusQuery, RadiusResult, radius_convex, radius_starlike
+from .radii import _BOUNDED, RadiusKind, RadiusQuery, RadiusResult, radius_convex, radius_starlike
 from .struve import NormalizationKind, StruveParams, eval_w
 from .zeros import AuxiliaryFamily, check_interlacing, find_zeros
 
@@ -31,14 +31,6 @@ FIRST_ZERO_TOL = 1e-9
 CONTAINMENT_SLACK = 1e-10
 
 _ALPHAS = (0.0, 0.25, 0.5, 0.75)
-
-_SANDWICH_FAMILIES = (
-    (AuxiliaryFamily.W_PRIME, RadiusKind.STARLIKE, NormalizationKind.F),
-    (AuxiliaryFamily.G_PRIME_SUBST, RadiusKind.STARLIKE, NormalizationKind.G),
-    (AuxiliaryFamily.H_PRIME_SUBST, RadiusKind.STARLIKE, NormalizationKind.H),
-    (AuxiliaryFamily.ALEX_G_SUBST, RadiusKind.CONVEX, NormalizationKind.G),
-    (AuxiliaryFamily.ALEX_H, RadiusKind.CONVEX, NormalizationKind.H),
-)
 
 _BESSEL_NUS = (0.5, 1.0, 2.0, 3.5)
 
@@ -111,7 +103,7 @@ def sandwich_suite(grid: Sequence[StruveParams]) -> SuiteReport:
     """k = 1 bounds strictly sandwich each alpha = 0 radius."""
     checks = []
     for params in grid:
-        for family, kind, norm in _SANDWICH_FAMILIES:
+        for family, kind, norm, _, _ in _BOUNDED.values():
             pair = bounds_for(params, family, 1)
             radius = _radius(params, kind, norm, 0.0).value
             margin = min(radius - pair.lower, pair.upper - radius)

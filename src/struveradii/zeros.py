@@ -94,10 +94,11 @@ _SQUARED = frozenset({AuxiliaryFamily.W, AuxiliaryFamily.W_PRIME})
 class ZeroSequence:
     """Strictly increasing positive zeros with polish diagnostics.
 
-    ``residuals`` holds the function value at each zero divided by the
-    peak partial-sum magnitude of its series evaluation, i.e. how close
-    to zero the evaluation can certify. ``brackets`` are the sign-change
-    intervals the polish finished with.
+    ``residuals`` holds the double sum of the function at each zero
+    divided by the peak partial-sum magnitude of that sum, i.e. how close
+    to zero the double sum comes there; it is a diagnostic, never re-summed
+    exactly. ``brackets`` are the sign-change intervals the polish finished
+    with.
     """
 
     family: AuxiliaryFamily
@@ -129,10 +130,12 @@ def family_series(params: StruveParams, family: AuxiliaryFamily) -> LogSeries:
     return carrier(params, _CARRIER_KEY[AuxiliaryFamily(family)])
 
 
-def _compensated(params: StruveParams, family: AuxiliaryFamily, t: float) -> ScaledValue:
-    """The exact-tier sum of the family's series at t."""
+def _compensated(params: StruveParams, family: AuxiliaryFamily, t: float,
+                 double: ScaledValue | None = None) -> ScaledValue:
+    """The exact-tier sum of the family's series at t, from the double sum
+    at t if the caller has it."""
     return compensated_carrier_value(params, _CARRIER_KEY[family], t,
-                                     family in _SQUARED)
+                                     family in _SQUARED, double)
 
 
 def certified_sign(params: StruveParams, family: AuxiliaryFamily, t: float) -> int:
@@ -150,7 +153,7 @@ def _value_at(series: LogSeries, family: AuxiliaryFamily, t: float,
     the exact-tier sum."""
     sv = series.eval_scaled(t, family in _SQUARED)
     if sv.certain_sign == 0:
-        sv = _compensated(params, family, t)
+        sv = _compensated(params, family, t, sv)
     return sv
 
 
@@ -289,7 +292,7 @@ def _scan(series: LogSeries, family: AuxiliaryFamily, count: int,
         lo, hi, _ = _polish(at, prev_t, flip, prev_v, f_flip, 1e-12)
         zeros.append(0.5 * (lo + hi))
         brackets.append((lo, hi))
-        residuals.append(_value_at(series, family, zeros[-1], params).over_peak())
+        residuals.append(series.eval_scaled(zeros[-1], squared).over_peak())
         gap = zeros[-1] - (zeros[-2] if len(zeros) > 1 else 0.0)
         if len(zeros) >= 5:
             # Zeros only spread out; never let the doubled step

@@ -1,3 +1,4 @@
+import json
 import math
 
 import mpmath as mp
@@ -5,13 +6,19 @@ import pytest
 from conftest import mp_shift, mp_w
 
 from struveradii import (
+    BoundRadiusKind,
+    CorollaryFamily,
     RadiusKind,
     RadiusQuery,
     StruveParams,
+    bounds_for,
+    corollary_bounds,
     find_zeros,
     radius_convex,
     radius_starlike,
+    run_suite,
 )
+from struveradii.cli import main
 from struveradii.struve import NormalizationKind as NK
 from struveradii.zeros import AuxiliaryFamily as AF
 
@@ -185,3 +192,53 @@ def test_brackets_are_sign_certified():
         lo, hi = _solve(params, kind, norm, alpha).bracket
         assert _mp_excess(params, kind, norm, lo, alpha) > 0, (params, kind, norm, alpha)
         assert _mp_excess(params, kind, norm, hi, alpha) < 0, (params, kind, norm, alpha)
+
+
+def test_upper_limits_are_the_first_zero_formulas():
+    # each search limit, read off its row, is bit for bit the first zero of
+    # the family that bounds the interval, mapped back to the radius
+    for params in SAMPLE:
+        x1 = find_zeros(params, AF.W, 1).zeros[0]
+        xp1 = find_zeros(params, AF.W_PRIME, 1).zeros[0]
+        rho_g = find_zeros(params, AF.G_PRIME_SUBST, 1).zeros[0]
+        rho_h = find_zeros(params, AF.H_PRIME_SUBST, 1).zeros[0]
+        expected = {
+            (RadiusKind.STARLIKE, NK.F): x1,
+            (RadiusKind.STARLIKE, NK.G): x1,
+            (RadiusKind.STARLIKE, NK.H): x1 * x1,
+            (RadiusKind.CONVEX, NK.F): xp1,
+            (RadiusKind.CONVEX, NK.G): 2.0 * math.sqrt(rho_g),
+            (RadiusKind.CONVEX, NK.H): 4.0 * rho_h,
+        }
+        for (kind, norm), limit in expected.items():
+            assert _solve(params, kind, norm, 0.5).upper_limit == limit, (params, kind, norm)
+
+
+# The family that bounds each alpha = 0 radius, by CLI flag: that family,
+# the radius kind of its bounds and the radius it bounds.
+BOUND_TABLE = {
+    "f-starlike": (AF.W_PRIME, BoundRadiusKind.STARLIKE0, RadiusKind.STARLIKE, NK.F),
+    "g-starlike": (AF.G_PRIME_SUBST, BoundRadiusKind.STARLIKE0, RadiusKind.STARLIKE, NK.G),
+    "h-starlike": (AF.H_PRIME_SUBST, BoundRadiusKind.STARLIKE0, RadiusKind.STARLIKE, NK.H),
+    "g-convex": (AF.ALEX_G_SUBST, BoundRadiusKind.CONVEX0, RadiusKind.CONVEX, NK.G),
+    "h-convex": (AF.ALEX_H, BoundRadiusKind.CONVEX0, RadiusKind.CONVEX, NK.H),
+}
+
+
+def test_bound_family_table(capsys):
+    params = SAMPLE[0]
+    args = [f"--{k}={getattr(params, k)!r}" for k in ("q", "p", "b", "c", "delta")]
+    checks = run_suite("sandwich", (params,)).checks
+    assert sorted(c.value for c in CorollaryFamily) == sorted(BOUND_TABLE)
+    assert len(checks) == len(BOUND_TABLE)
+    for (flag, (family, bound_kind, kind, norm)), check in zip(BOUND_TABLE.items(), checks):
+        pair = bounds_for(params, family, 1)
+        assert pair.radius_kind is bound_kind
+        closed = corollary_bounds(1.0, CorollaryFamily(flag))
+        assert (closed.family, closed.radius_kind) == (family, bound_kind)
+        assert main(["bounds", "--family", flag, *args, "--format", "json"]) == 0
+        record = json.loads(capsys.readouterr().out)
+        assert record["results"] == {"lower": repr(pair.lower), "upper": repr(pair.upper)}
+        assert record["diagnostics"]["radius_kind"] == bound_kind.value
+        assert check.name.startswith(f"sandwich {family.value} ")
+        assert f"radius={_solve(params, kind, norm).value!r}" in check.detail

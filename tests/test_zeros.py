@@ -200,12 +200,23 @@ class TestSubstitutedFamilies:
         assert abs(fd) < 1e-4
 
     def test_direct_series_consistency(self):
-        # the substituted carrier at s equals the unsubstituted one at its
-        # mapped argument, exercising the 4^n bookkeeping between paths
+        # the substituted carrier at s against a 40-digit sum of
+        # sum_n beta_n (2n+1) (4s)^n, the series of g' at x^2 = 4s, with
+        # beta_n from gamma functions: this exercises the 4^n bookkeeping
         for params in (Q2_PARAMS, StruveParams(q=1, p=0.5, b=2.0, c=2.0, delta=1.0)):
-            s = find_zeros(params, AuxiliaryFamily.G_PRIME_SUBST, 1).zeros[0]
-            direct = family_series(params, AuxiliaryFamily.G_PRIME_SUBST).eval_scaled(s)
-            from struveradii.struve import carrier
-            mapped = carrier(params, "g1").eval_scaled(4.0 * s)
-            assert abs(mapped.over_peak()) < 1e-9
-            assert abs(direct.over_peak()) < 1e-9
+            series = family_series(params, AuxiliaryFamily.G_PRIME_SUBST)
+            s1 = find_zeros(params, AuxiliaryFamily.G_PRIME_SUBST, 1).zeros[0]
+            for s in (0.5 * s1, s1, 2.0 * s1):
+                sv = series.eval_scaled(s)
+                value = math.ldexp(sv.mantissa, sv.exponent)
+                with mp.workdps(40):
+                    shift = mp_shift(params)
+                    exact = mp.fsum(
+                        (-mp.mpf(params.c)) ** n * mp.gamma(shift) * (2 * n + 1)
+                        * mp.mpf(s) ** n / (mp.factorial(n) * mp.gamma(params.q * n + shift))
+                        for n in range(160))
+                assert abs(value - exact) <= math.ldexp(sv.error, sv.exponent)
+                if s == s1:
+                    assert abs(sv.over_peak()) < 1e-9
+                else:
+                    assert value == pytest.approx(float(exact), rel=1e-12)

@@ -40,7 +40,6 @@ from .errors import (
     PrecisionLossError,
     ScanOverflowError,
 )
-from .gammafn import log_gamma
 from .grid import default_grid, load_grid
 from .radii import (
     RadiusKind,
@@ -55,6 +54,7 @@ from .struve import (
     eval_normalized,
     eval_w,
     log_derivative,
+    log_gamma,
 )
 from .verify import CheckResult, SuiteReport, run_suite
 from .zeros import (

@@ -44,7 +44,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import BranchError, PoleError, PrecisionLossError
-from .gammafn import log_gamma
 from .series import LogSeries, ScaledValue, scaled_ratio
 
 __all__ = [
@@ -52,6 +51,7 @@ __all__ = [
     "NormalizationKind",
     "exact_shift",
     "shift_rising",
+    "log_gamma",
     "exact_coefficients",
     "eval_w",
     "eval_normalized",
@@ -141,6 +141,18 @@ def shift_rising(params: StruveParams, m: int) -> Fraction:
     """(P)_m = P (P+1) ... (P+m-1) = Gamma(P+m) / Gamma(P), exactly."""
     num, den = exact_shift(params).as_integer_ratio()
     return Fraction(math.prod(j * den + num for j in range(m)), den ** m)
+
+
+def log_gamma(x: float) -> float:
+    """ln Gamma(x) for finite x > 0, by the platform lgamma (a few ulp).
+
+    Only the prefactor 1/Gamma(P) of ``eval_w`` needs it; every other gamma
+    quotient here is an exact product (P)_m (``shift_rising``).
+    """
+    x = float(x)
+    if not math.isfinite(x) or x <= 0.0:
+        raise ValueError(f"log_gamma requires finite x > 0, got {x!r}")
+    return math.lgamma(x)
 
 
 def exact_coefficients(params: StruveParams, key: str, count: int) -> tuple[list[int], int]:

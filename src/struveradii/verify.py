@@ -170,8 +170,8 @@ def bessel_suite(nus: Iterable[float] = _BESSEL_NUS) -> SuiteReport:
         worst = 0.0
         for i in range(1, 21):
             x = 0.5 * i
-            dev = abs(eval_w(params, x) - bessel_j(nu, x)) / (1.0 + abs(bessel_j(nu, x)))
-            worst = max(worst, dev)
+            j = bessel_j(nu, x)
+            worst = max(worst, abs(eval_w(params, x) - j) / (1.0 + abs(j)))
         checks.append(CheckResult(
             name=f"bessel-dual-path nu={nu:g}",
             passed=worst <= DUAL_PATH_TOL,

@@ -6,9 +6,10 @@ bracketed polish finds every zero. The scan starts with step 0.1,
 doubles the step after each zero beyond the fourth (zeros of these
 families spread out, never bunch up), after the first zero sums blocks
 of scan points about twice the last gap long, stops at MAX_ABSCISSA,
-and, when a reference sequence is supplied, falls back to a half-step
-rescan if the expected interlacing pattern is violated; a violation can
-only mean a missed sign change, not mathematics.
+and, when a reference ZeroSequence is supplied, falls back to half-step
+rescans if the expected interlacing pattern is violated; a violation can
+only mean a missed sign change, not mathematics. Each scan attempt's
+longest sequence per point and family answers every shorter request.
 
 Every sign the scan and the polish act on is certified, for the series
 at the exact abscissa and parameters (see ``struve.carrier``). The sign
@@ -32,7 +33,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -321,45 +321,42 @@ def _first_violation(first: Sequence[tuple[float, float]],
     return None
 
 
-@lru_cache(maxsize=4096)
-def _find_zeros_cached(params: StruveParams, family: AuxiliaryFamily, count: int,
-                       reference: tuple[tuple[float, float], ...] | None) -> ZeroSequence:
-    series = family_series(params, family)
-    for attempt in range(_MAX_RESCANS):
-        step = INITIAL_STEP / (2.0 ** attempt)
-        zeros, brackets, residuals = _scan(series, family, count, step, params)
-        ok = reference is None or not reference
-        if not ok:
-            # Either sequence may come first along the axis.
-            pair = ((brackets, reference) if brackets[0][0] < reference[0][0]
-                    else (reference, brackets))
-            ok = _first_violation(*pair) is None
-        if ok:
-            return ZeroSequence(
-                family=family,
-                params=params,
-                zeros=tuple(zeros),
-                residuals=tuple(residuals),
-                brackets=tuple(brackets),
-            )
-    raise NumericalError(
-        f"zeros of {family} for {params} kept violating the reference "
-        f"interlacing pattern after {_MAX_RESCANS} half-step rescans"
-    )
+_MAX_SEQUENCES = 4096
+# (params, family, scan attempt) -> its longest ZeroSequence; oldest out first.
+_SEQUENCES: dict[tuple[StruveParams, AuxiliaryFamily, int], ZeroSequence] = {}
+
+
+def _scanned(params: StruveParams, family: AuxiliaryFamily, count: int,
+             attempt: int) -> ZeroSequence:
+    """The first ``count`` zeros of the scan with step INITIAL_STEP / 2^attempt.
+    The scan is prefix-deterministic (a scan for fewer zeros stops where one
+    for more goes on), so only a request longer than the stored one scans."""
+    key = (params, family, attempt)
+    seq = _SEQUENCES.get(key)
+    if seq is None or len(seq.zeros) < count:
+        zeros, brackets, residuals = _scan(family_series(params, family), family, count,
+                                           INITIAL_STEP / (2.0 ** attempt), params)
+        seq = _SEQUENCES[key] = ZeroSequence(family, params, tuple(zeros),
+                                             tuple(residuals), tuple(brackets))
+        if len(_SEQUENCES) > _MAX_SEQUENCES:
+            del _SEQUENCES[next(iter(_SEQUENCES))]
+    return ZeroSequence(family, params, seq.zeros[:count], seq.residuals[:count],
+                        seq.brackets[:count])
 
 
 def find_zeros(params: StruveParams, family: AuxiliaryFamily, count: int,
-               reference: "ZeroSequence | tuple[float, ...] | None" = None) -> ZeroSequence:
+               reference: ZeroSequence | None = None) -> ZeroSequence:
     """Locate the first ``count`` positive zeros of the family's function.
 
     Each zero is bracketed by a certified sign change and polished
     (``_polish``) to interval width 1e-12 * (1 + zero), or to the narrowest
     bracket whose ends the exact re-sum still certifies.
     ``reference`` optionally supplies a sequence whose zeros must interlace
-    the requested ones (e.g. pass the W zeros when scanning W'); an
-    interlacing violation triggers half-step rescans. The brackets of a
-    ZeroSequence reference are compared, and plain floats count as
-    brackets of width 0.
+    the requested ones (e.g. pass the W zeros when scanning W'), compared
+    by their brackets; an interlacing violation triggers half-step
+    rescans. A scan attempt runs again only to find more zeros than it
+    already holds for the point and family, so ``first_zero`` after
+    ``find_zeros`` scans nothing.
 
     Raises ScanOverflowError when fewer than ``count`` zeros lie below
     MAX_ABSCISSA, and PrecisionLossError when the sign at a scan point
@@ -368,14 +365,16 @@ def find_zeros(params: StruveParams, family: AuxiliaryFamily, count: int,
     family = AuxiliaryFamily(family)
     if not isinstance(count, int) or count < 1 or count > MAX_COUNT:
         raise ValueError(f"count must be an integer in [1, {MAX_COUNT}], got {count!r}")
-    ref: tuple[tuple[float, float], ...] | None
-    if reference is None:
-        ref = None
-    elif isinstance(reference, ZeroSequence):
-        ref = reference.brackets
-    else:
-        ref = tuple((float(z), float(z)) for z in reference)
-    return _find_zeros_cached(params, family, count, ref)
+    ref = reference.brackets if reference is not None else ()
+    for attempt in range(_MAX_RESCANS if ref else 1):
+        seq = _scanned(params, family, count, attempt)
+        # Either sequence may come first along the axis: the lower first bracket leads.
+        if not ref or _first_violation(*sorted((seq.brackets, ref))) is None:
+            return seq
+    raise NumericalError(
+        f"zeros of {family} for {params} kept violating the reference "
+        f"interlacing pattern after {_MAX_RESCANS} half-step rescans"
+    )
 
 
 def first_zero(params: StruveParams, family: AuxiliaryFamily) -> float:

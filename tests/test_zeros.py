@@ -7,10 +7,13 @@ from struveradii import (
     NumericalError,
     ScanOverflowError,
     StruveParams,
+    ZeroSequence,
     check_interlacing,
     eval_normalized,
     find_zeros,
+    first_zero,
 )
+from struveradii import zeros
 from struveradii.struve import NormalizationKind
 from struveradii.zeros import AuxiliaryFamily, certified_sign, family_series
 
@@ -170,6 +173,47 @@ class TestInterlacing:
         signs = [mp.sign(mp_carrier(Q2_PARAMS, s * s)) for s in samples]
         flips = sum(1 for a, b in zip(signs, signs[1:]) if a * b < 0)
         assert flips == 4  # the fifth flip happens beyond the last sample
+
+
+class TestSequenceCache:
+    def test_first_zero_after_find_zeros_scans_nothing(self, monkeypatch):
+        params = StruveParams(q=2, p=1.5, b=0.5, c=3.0, delta=2.0)
+        w = find_zeros(params, AuxiliaryFamily.W, 5)
+        wp = find_zeros(params, AuxiliaryFamily.W_PRIME, 5, reference=w)
+        scans = []
+        scan = zeros._scan
+
+        def counted(*args):
+            scans.append(args)
+            return scan(*args)
+
+        monkeypatch.setattr(zeros, "_scan", counted)
+        assert first_zero(params, AuxiliaryFamily.W) == w.zeros[0]
+        assert first_zero(params, AuxiliaryFamily.W_PRIME) == wp.zeros[0]
+        assert scans == []
+
+    @pytest.mark.parametrize("params", [
+        StruveParams(q=1, p=0.0, b=2.0, c=1.0, delta=1.0),
+        Q2_PARAMS,
+        StruveParams(q=3, p=-0.5, b=1.5, c=2.0, delta=0.5),
+    ])
+    def test_shorter_requests_are_prefixes(self, params, monkeypatch):
+        # Fresh scans for 1, 2 and 3 zeros give the first zeros, brackets
+        # and residuals of a scan for 5 bit for bit, so the stored longer
+        # sequence can answer them, whichever is asked for first.
+        for family in AuxiliaryFamily:
+            runs = []
+            for order in ((1, 2, 3, 5), (5, 3, 2, 1)):
+                monkeypatch.setattr(zeros, "_SEQUENCES", {})
+                runs.append({k: find_zeros(params, family, k) for k in order})
+            short_first, long_first = runs
+            full = short_first[5]
+            assert long_first[5] == full
+            for k in (1, 2, 3):
+                prefix = ZeroSequence(family, params, full.zeros[:k],
+                                      full.residuals[:k], full.brackets[:k])
+                assert short_first[k] == prefix
+                assert long_first[k] == prefix
 
 
 class TestSubstitutedFamilies:

@@ -40,7 +40,6 @@ from .errors import (
     PrecisionLossError,
     ScanOverflowError,
 )
-from .grid import default_grid, load_grid
 from .radii import (
     RadiusKind,
     RadiusQuery,
@@ -56,7 +55,7 @@ from .struve import (
     log_derivative,
     log_gamma,
 )
-from .verify import CheckResult, SuiteReport, run_suite
+from .verify import CheckResult, SuiteReport, default_grid, load_grid, run_suite
 from .zeros import (
     AuxiliaryFamily,
     InterlacingReport,

@@ -11,10 +11,10 @@ of variable turns the rho_1 bounds into bounds on the corresponding
 radius (square roots and factors 2 or 4, see _FAMILIES).
 
 Every a_n is rational in the input doubles, so Newton's identities
-S_k = -k a_k - sum_{i=1}^{k-1} a_i S_{k-i} run in integers and give S_k
-exactly, and each bound is rounded outward from it: lower < rho_1 < upper
-holds for the exact parameters. The closed forms of S_1 and S_2 are an
-independent check.
+S_k = -k a_k - sum_{i=1}^{k-1} a_i S_{k-i} run in integers on the carrier
+(``LogSeries.power_sums``) and give S_k exactly, and each bound is
+rounded outward from it: lower < rho_1 < upper holds for the exact
+parameters. The closed forms of S_1 and S_2 are an independent check.
 """
 
 from __future__ import annotations
@@ -25,9 +25,9 @@ from enum import Enum
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import PrecisionLossError
 from .radii import _BOUNDED
-from .struve import StruveParams, exact_coefficients, shift_rising
+from .series import _newton
+from .struve import StruveParams, carrier, shift_rising
 from .zeros import _CARRIER_KEY, AuxiliaryFamily
 
 __all__ = [
@@ -90,21 +90,6 @@ class BoundsPair:
     radius_kind: BoundRadiusKind
 
 
-def _newton(coeffs: Sequence[int], den: int, kmax: int) -> list[int]:
-    """sigma_1 .. sigma_kmax, S_k = sigma_k / den^k, for the reciprocal
-    roots of sum_n (coeffs[n] / den) u^n, whose constant term is 1."""
-    a = list(coeffs) + [0] * (kmax + 1 - len(coeffs))
-    powers = [den ** i for i in range(kmax + 1)]
-    sigma: list[int] = []
-    for k in range(1, kmax + 1):
-        s = -k * a[k] * powers[k - 1] - sum(
-            a[i] * sigma[k - i - 1] * powers[i - 1] for i in range(1, k))
-        if s <= 0:
-            raise PrecisionLossError(f"S_{k} = {Fraction(s, powers[k])} is not positive")
-        sigma.append(s)
-    return sigma
-
-
 def newton_power_sums(coeffs: Sequence[float | Fraction], kmax: int) -> list[Fraction]:
     """Exact power sums of reciprocal roots of 1 + sum_{n>=1} coeffs[n] u^n.
 
@@ -133,8 +118,7 @@ def rayleigh_sums_newton(params: StruveParams, family: AuxiliaryFamily,
     family = AuxiliaryFamily(family)
     if not isinstance(kmax, int) or not 1 <= kmax <= MAX_K:
         raise ValueError(f"kmax must be an integer in [1, {MAX_K}], got {kmax!r}")
-    coeffs, den = exact_coefficients(params, _CARRIER_KEY[family], kmax + 1)
-    sigma = _newton(coeffs, den, kmax)
+    sigma, den = carrier(params, _CARRIER_KEY[family]).power_sums(kmax)
     sums = tuple(_nearest(s, den ** k) for k, s in enumerate(sigma, 1))
     return RayleighSums(family=family, sums=sums, source=SumSource.NEWTON)
 
@@ -188,8 +172,7 @@ def bounds_for(params: StruveParams, family: AuxiliaryFamily, k: int) -> BoundsP
         raise ValueError(f"no radius bounds are defined for family {family}")
     if not isinstance(k, int) or not 1 <= k <= MAX_K - 1:
         raise ValueError(f"k must be an integer in [1, {MAX_K - 1}], got {k!r}")
-    coeffs, den = exact_coefficients(params, _CARRIER_KEY[family], k + 2)
-    sigma = _newton(coeffs, den, k + 1)
+    sigma, den = carrier(params, _CARRIER_KEY[family]).power_sums(k + 1)
     kind, s, e = _FAMILIES[family]
     # S_k^(-1/k) = (den^k / sigma_k)^(1/k), S_k / S_(k+1) = sigma_k den / sigma_(k+1)
     lower = _round_outward(den ** k, sigma[k - 1], e * k, s, down=True)

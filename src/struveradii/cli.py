@@ -2,9 +2,11 @@
 
 Subcommands: eval, zeros, radius, bounds, verify. Every run writes a
 single record to stdout in the chosen format (text, json or csv) with
-the shape
+the shape (``_record``)
 
     {schema_version, command, params, results, diagnostics}
+
+where ``params`` echoes the parameter point and the command's options.
 
 All result numbers are serialized as the shortest decimal strings that
 round-trip to the same double, so identical invocations are
@@ -21,19 +23,17 @@ import csv
 import io
 import json
 import sys
-from typing import Any
+from dataclasses import asdict
+from typing import Any, Callable
 
 from .bounds import bounds_for, rayleigh_sums_newton, statement_form_bounds
 from .errors import NumericalError
-from .grid import default_grid, load_grid
-from .radii import _BOUNDED, RadiusKind, RadiusQuery, radius_convex, radius_starlike
+from .radii import _BOUNDED, RadiusKind, RadiusQuery, _radius
 from .struve import NormalizationKind, StruveParams, eval_normalized, eval_w
-from .verify import SUITES, run_suite
+from .verify import SUITES, default_grid, load_grid, run_suite
 from .zeros import AuxiliaryFamily, find_zeros
 
 SCHEMA_VERSION = "1"
-
-_ZERO_FAMILY_FLAGS = {f.value: f for f in AuxiliaryFamily}
 
 
 def _add_param_flags(parser: argparse.ArgumentParser) -> None:
@@ -44,9 +44,11 @@ def _add_param_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--delta", type=float, required=True, help="real delta > 0")
 
 
-def _add_format_flag(parser: argparse.ArgumentParser) -> None:
+def _add_run_and_format(parser: argparse.ArgumentParser, run: Callable) -> None:
+    """The subcommand's --format flag, and ``run``, the function that runs it."""
     parser.add_argument("--format", choices=("text", "json", "csv"),
                         default="text", help="output format (default text)")
+    parser.set_defaults(run=run)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -66,28 +68,28 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--deriv", type=int, choices=(0, 1, 2), default=0)
     p_eval.add_argument("--norm", choices=("w", "f", "g", "h"), default="w",
                         help="evaluate W itself (default) or f, g, h")
-    _add_format_flag(p_eval)
+    _add_run_and_format(p_eval, _run_eval)
 
     p_zeros = sub.add_parser("zeros", help="ordered positive zeros of a family")
     _add_param_flags(p_zeros)
-    p_zeros.add_argument("--family", choices=sorted(_ZERO_FAMILY_FLAGS),
+    p_zeros.add_argument("--family", choices=sorted(f.value for f in AuxiliaryFamily),
                          default="w")
     p_zeros.add_argument("--count", type=int, default=5)
-    _add_format_flag(p_zeros)
+    _add_run_and_format(p_zeros, _run_zeros)
 
     p_radius = sub.add_parser("radius", help="radius of starlikeness or convexity")
     _add_param_flags(p_radius)
     p_radius.add_argument("--kind", choices=("starlike", "convex"), required=True)
     p_radius.add_argument("--norm", choices=("f", "g", "h"), required=True)
     p_radius.add_argument("--alpha", type=float, default=0.0)
-    _add_format_flag(p_radius)
+    _add_run_and_format(p_radius, _run_radius)
 
     p_bounds = sub.add_parser("bounds", help="power-sum bounds for an alpha=0 radius")
     _add_param_flags(p_bounds)
     p_bounds.add_argument("--family", choices=sorted(_BOUNDED),
                           required=True)
     p_bounds.add_argument("--k", type=int, default=1)
-    _add_format_flag(p_bounds)
+    _add_run_and_format(p_bounds, _run_bounds)
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
     p_verify.add_argument("--suite", choices=SUITES, default="all")
@@ -95,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help='"default" or a JSON file of {q,p,b,c,delta} objects')
     p_verify.add_argument("--count", type=int, default=5,
                           help="zeros per point for the interlacing suite")
-    _add_format_flag(p_verify)
+    _add_run_and_format(p_verify, _run_verify)
 
     return parser
 
@@ -104,28 +106,21 @@ def _params_from(args: argparse.Namespace) -> StruveParams:
     return StruveParams(q=args.q, p=args.p, b=args.b, c=args.c, delta=args.delta)
 
 
-def _params_echo(params: StruveParams) -> dict[str, Any]:
-    return {
-        "q": params.q,
-        "p": params.p,
-        "b": params.b,
-        "c": params.c,
-        "delta": params.delta,
-    }
-
-
-def _num(x: float) -> str:
-    return repr(float(x))
-
-
 def _stringify(obj: Any) -> Any:
     if isinstance(obj, float):
-        return _num(obj)
+        return repr(float(obj))
     if isinstance(obj, (list, tuple)):
         return [_stringify(v) for v in obj]
     if isinstance(obj, dict):
         return {k: _stringify(v) for k, v in obj.items()}
     return obj
+
+
+def _record(args: argparse.Namespace, echo: dict[str, Any], results: dict[str, Any],
+            diagnostics: dict[str, Any] | None = None) -> dict[str, Any]:
+    """The output record of a command; ``echo`` holds the parameters it ran with."""
+    return {"schema_version": SCHEMA_VERSION, "command": args.command, "params": echo,
+            "results": results, "diagnostics": diagnostics or {}}
 
 
 def _run_eval(args: argparse.Namespace) -> tuple[dict, int]:
@@ -136,55 +131,26 @@ def _run_eval(args: argparse.Namespace) -> tuple[dict, int]:
         if args.deriv != 0:
             raise ValueError("--deriv is only supported together with --norm w")
         value = eval_normalized(params, NormalizationKind(args.norm), args.z)
-    record = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "eval",
-        "params": {**_params_echo(params), "z": args.z, "deriv": args.deriv,
-                   "norm": args.norm},
-        "results": {"value": value},
-        "diagnostics": {},
-    }
-    return record, 0
+    echo = {**asdict(params), "z": args.z, "deriv": args.deriv, "norm": args.norm}
+    return _record(args, echo, {"value": value}), 0
 
 
 def _run_zeros(args: argparse.Namespace) -> tuple[dict, int]:
     params = _params_from(args)
-    seq = find_zeros(params, _ZERO_FAMILY_FLAGS[args.family], args.count)
-    record = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "zeros",
-        "params": {**_params_echo(params), "family": args.family,
-                   "count": args.count},
-        "results": {"zeros": list(seq.zeros)},
-        "diagnostics": {"residuals": list(seq.residuals)},
-    }
-    return record, 0
+    seq = find_zeros(params, AuxiliaryFamily(args.family), args.count)
+    echo = {**asdict(params), "family": args.family, "count": args.count}
+    return _record(args, echo, {"zeros": list(seq.zeros)},
+                   {"residuals": list(seq.residuals)}), 0
 
 
 def _run_radius(args: argparse.Namespace) -> tuple[dict, int]:
     params = _params_from(args)
-    query = RadiusQuery(
-        params=params,
-        kind=RadiusKind(args.kind),
-        normalization=NormalizationKind(args.norm),
-        alpha=args.alpha,
-    )
-    result = (radius_starlike if query.kind is RadiusKind.STARLIKE
-              else radius_convex)(query)
-    record = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "radius",
-        "params": {**_params_echo(params), "kind": args.kind, "norm": args.norm,
-                   "alpha": args.alpha},
-        "results": {"value": result.value},
-        "diagnostics": {
-            "bracket": list(result.bracket),
-            "residual": result.residual,
-            "iterations": result.iterations,
-            "upper_limit": result.upper_limit,
-        },
-    }
-    return record, 0
+    result = _radius(RadiusQuery(params, RadiusKind(args.kind),
+                                 NormalizationKind(args.norm), args.alpha))
+    echo = {**asdict(params), "kind": args.kind, "norm": args.norm, "alpha": args.alpha}
+    diagnostics = {"bracket": list(result.bracket), "residual": result.residual,
+                   "iterations": result.iterations, "upper_limit": result.upper_limit}
+    return _record(args, echo, {"value": result.value}, diagnostics), 0
 
 
 def _run_bounds(args: argparse.Namespace) -> tuple[dict, int]:
@@ -200,21 +166,12 @@ def _run_bounds(args: argparse.Namespace) -> tuple[dict, int]:
         variant = statement_form_bounds(params, family)
         if variant is not None:
             diagnostics["statement_form"] = {"lower": variant[0], "upper": variant[1]}
-    record = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "bounds",
-        "params": {**_params_echo(params), "family": args.family, "k": args.k},
-        "results": {"lower": pair.lower, "upper": pair.upper},
-        "diagnostics": diagnostics,
-    }
-    return record, 0
+    echo = {**asdict(params), "family": args.family, "k": args.k}
+    return _record(args, echo, {"lower": pair.lower, "upper": pair.upper}, diagnostics), 0
 
 
 def _run_verify(args: argparse.Namespace) -> tuple[dict, int]:
-    if args.grid == "default":
-        grid = default_grid()
-    else:
-        grid = load_grid(args.grid)
+    grid = default_grid() if args.grid == "default" else load_grid(args.grid)
     report = run_suite(args.suite, grid, args.count)
     checks = [
         {
@@ -226,22 +183,12 @@ def _run_verify(args: argparse.Namespace) -> tuple[dict, int]:
         for c in report.ordered()
     ]
     worst = report.worst
-    record = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "verify",
-        "params": {"suite": args.suite, "grid": args.grid,
-                   "grid_points": len(grid)},
-        "results": {
-            "checks": checks,
-            "passed": len(report.checks) - len(report.failed),
-            "failed": len(report.failed),
-        },
-        "diagnostics": {
-            "worst_check": worst.name if worst else "",
-            "worst_margin": worst.margin if worst else 0.0,
-        },
-    }
-    return record, (0 if report.ok else 3)
+    echo = {"suite": args.suite, "grid": args.grid, "grid_points": len(grid)}
+    results = {"checks": checks, "passed": len(report.checks) - len(report.failed),
+               "failed": len(report.failed)}
+    diagnostics = {"worst_check": worst.name if worst else "",
+                   "worst_margin": worst.margin if worst else 0.0}
+    return _record(args, echo, results, diagnostics), (0 if report.ok else 3)
 
 
 def _flatten(prefix: str, obj: Any, out: list[tuple[str, Any]]) -> None:
@@ -285,15 +232,6 @@ def _emit(record: dict, fmt: str) -> None:
         sys.stdout.write(f"{key} = {value}\n")
 
 
-_RUNNERS = {
-    "eval": _run_eval,
-    "zeros": _run_zeros,
-    "radius": _run_radius,
-    "bounds": _run_bounds,
-    "verify": _run_verify,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -301,7 +239,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        record, code = _RUNNERS[args.command](args)
+        record, code = args.run(args)
     except (ValueError, OSError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

@@ -192,6 +192,12 @@ def _solve(query: RadiusQuery) -> RadiusResult:
     )
 
 
+def _radius(query: RadiusQuery) -> RadiusResult:
+    """The radius the query asks for, by the public solver of its kind,
+    looked up at call time so that a wrapper on either name sees the solve."""
+    return (radius_starlike if query.kind is RadiusKind.STARLIKE else radius_convex)(query)
+
+
 def radius_starlike(query: RadiusQuery) -> RadiusResult:
     """Radius of starlikeness of order alpha for the chosen normalization."""
     if query.kind is not RadiusKind.STARLIKE:

@@ -47,7 +47,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import ConvergenceError
+from .errors import ConvergenceError, PrecisionLossError
 
 MIN_TERMS = 8
 MAX_TERMS = 10_000
@@ -112,6 +112,22 @@ def scaled_ratio(num: ScaledValue, den: ScaledValue) -> float:
         return math.ldexp(q, num.exponent - den.exponent)
     except OverflowError:
         return math.copysign(math.inf, q)
+
+
+def _newton(coeffs: list[int], den: int, kmax: int) -> list[int]:
+    """sigma_1 .. sigma_kmax, S_k = sigma_k / den^k, for the reciprocal roots
+    of sum_n (coeffs[n] / den) u^n, constant term 1, by Newton's identities in
+    integers; a sum that is not positive raises PrecisionLossError."""
+    a = list(coeffs) + [0] * (kmax + 1 - len(coeffs))
+    powers = [den ** i for i in range(kmax + 1)]
+    sigma: list[int] = []
+    for k in range(1, kmax + 1):
+        s = -k * a[k] * powers[k - 1] - sum(
+            a[i] * sigma[k - i - 1] * powers[i - 1] for i in range(1, k))
+        if s <= 0:
+            raise PrecisionLossError(f"S_{k} = {Fraction(s, powers[k])} is not positive")
+        sigma.append(s)
+    return sigma
 
 
 def _as_float(mantissa: float, exponent: int) -> float:
@@ -197,6 +213,12 @@ class LogSeries:
             if n:
                 tail *= divisors[n - 1]
         return nums, sign * weights[0] * tail
+
+    def power_sums(self, kmax: int) -> tuple[list[int], int]:
+        """S_1 .. S_kmax of the series' reciprocal roots exactly, as sigma_k
+        and d with S_k = sigma_k / d^k (``_newton`` on ``_coefficients``)."""
+        coeffs, den = self._coefficients(kmax + 1)
+        return _newton(coeffs, den, kmax), den
 
     def _sum(self, u: float, rounded: bool = False) -> ScaledValue:
         """eval_scaled without its argument check, at u itself or, if

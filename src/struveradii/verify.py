@@ -6,21 +6,31 @@ inequality or tolerance the check landed (positive means pass, with the
 pass threshold already subtracted where one applies). Reports list
 failures first so a non-zero exit surfaces the offending checks at the
 top.
+
+The grid is the 162-point ``default_grid`` (every combination of the
+DEFAULT_* values) or a JSON file of {q, p, b, c, delta} objects
+(``load_grid``). The Bessel suite checks the orders _BESSEL_NUS instead,
+and the monotone suite the orders alpha in _ALPHAS at each point.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from itertools import product
+from pathlib import Path
+from typing import Sequence
 
 from .bessel import bessel_j, bessel_j_zeros, corollary_bounds, CorollaryFamily, reduce_to_bessel
 from .bounds import bounds_for
-from .radii import _BOUNDED, RadiusKind, RadiusQuery, RadiusResult, radius_convex, radius_starlike
+# Solves run through _radius; bench/selftest.py expects the solvers in this namespace.
+from .radii import _BOUNDED, RadiusKind, RadiusQuery, _radius, radius_convex, radius_starlike
 from .struve import NormalizationKind, StruveParams, eval_w
 from .zeros import AuxiliaryFamily, check_interlacing, find_zeros
 
-__all__ = ["CheckResult", "SuiteReport", "run_suite", "SUITES"]
+__all__ = ["CheckResult", "SuiteReport", "run_suite", "SUITES", "default_grid",
+           "default_shapes", "load_grid"]
 
 SUITES = ("interlacing", "sandwich", "bessel", "monotone", "all")
 
@@ -33,6 +43,44 @@ CONTAINMENT_SLACK = 1e-10
 _ALPHAS = (0.0, 0.25, 0.5, 0.75)
 
 _BESSEL_NUS = (0.5, 1.0, 2.0, 3.5)
+
+DEFAULT_Q = (1, 2, 3)
+DEFAULT_P = (-0.5, 0.5, 2.0)
+DEFAULT_B = (1.0, 2.0)
+DEFAULT_C = (0.5, 1.0, 2.0)
+DEFAULT_DELTA = (0.5, 1.0, 2.0)
+
+
+def default_grid() -> tuple[StruveParams, ...]:
+    """All combinations of the default parameter values, in a fixed order."""
+    return tuple(
+        StruveParams(q=q, p=p, b=b, c=c, delta=d)
+        for q, p, b, c, d in product(
+            DEFAULT_Q, DEFAULT_P, DEFAULT_B, DEFAULT_C, DEFAULT_DELTA
+        )
+    )
+
+
+def default_shapes() -> tuple[tuple[int, float, float, float], ...]:
+    """The (q, p, b, delta) combinations of the default grid, c left free."""
+    return tuple(product(DEFAULT_Q, DEFAULT_P, DEFAULT_B, DEFAULT_DELTA))
+
+
+def load_grid(path: str | Path) -> tuple[StruveParams, ...]:
+    """Read a JSON array of {q, p, b, c, delta} objects."""
+    raw = json.loads(Path(path).read_text())
+    if not isinstance(raw, list):
+        raise ValueError(f"grid file {path} must hold a JSON array")
+    points = []
+    for i, entry in enumerate(raw):
+        if not isinstance(entry, dict):
+            raise ValueError(f"grid entry {i} is not an object: {entry!r}")
+        try:
+            points.append(StruveParams(q=int(entry["q"]), **{
+                key: float(entry[key]) for key in ("p", "b", "c", "delta")}))
+        except KeyError as exc:
+            raise ValueError(f"grid entry {i} is missing key {exc}") from exc
+    return tuple(points)
 
 
 @dataclass(frozen=True)
@@ -72,14 +120,6 @@ def _point_id(params: StruveParams) -> str:
     )
 
 
-def _radius(params: StruveParams, kind: RadiusKind, norm: NormalizationKind,
-            alpha: float) -> RadiusResult:
-    query = RadiusQuery(params=params, kind=kind, normalization=norm, alpha=alpha)
-    if kind is RadiusKind.STARLIKE:
-        return radius_starlike(query)
-    return radius_convex(query)
-
-
 def interlacing_suite(grid: Sequence[StruveParams], count: int = 5) -> SuiteReport:
     """First ``count`` zeros of W' strictly interlace those of W."""
     checks = []
@@ -105,7 +145,7 @@ def sandwich_suite(grid: Sequence[StruveParams]) -> SuiteReport:
     for params in grid:
         for family, kind, norm, _, _ in _BOUNDED.values():
             pair = bounds_for(params, family, 1)
-            radius = _radius(params, kind, norm, 0.0).value
+            radius = _radius(RadiusQuery(params, kind, norm)).value
             margin = min(radius - pair.lower, pair.upper - radius)
             checks.append(CheckResult(
                 name=f"sandwich {family.value} {_point_id(params)}",
@@ -116,8 +156,7 @@ def sandwich_suite(grid: Sequence[StruveParams]) -> SuiteReport:
     return SuiteReport("sandwich", tuple(checks))
 
 
-def monotone_suite(grid: Sequence[StruveParams],
-                   alphas: Sequence[float] = _ALPHAS) -> SuiteReport:
+def monotone_suite(grid: Sequence[StruveParams]) -> SuiteReport:
     """Radii decrease strictly in alpha; convexity radii never exceed
     starlikeness radii at matched order."""
     checks = []
@@ -125,13 +164,14 @@ def monotone_suite(grid: Sequence[StruveParams],
         values: dict[tuple[RadiusKind, NormalizationKind, float], float] = {}
         for kind in (RadiusKind.STARLIKE, RadiusKind.CONVEX):
             for norm in NormalizationKind:
-                for alpha in alphas:
-                    values[(kind, norm, alpha)] = _radius(params, kind, norm, alpha).value
+                for alpha in _ALPHAS:
+                    values[(kind, norm, alpha)] = _radius(
+                        RadiusQuery(params, kind, norm, alpha)).value
         drop = math.inf
         drop_detail = ""
         for kind in (RadiusKind.STARLIKE, RadiusKind.CONVEX):
             for norm in NormalizationKind:
-                for a_lo, a_hi in zip(alphas, alphas[1:]):
+                for a_lo, a_hi in zip(_ALPHAS, _ALPHAS[1:]):
                     d = values[(kind, norm, a_lo)] - values[(kind, norm, a_hi)]
                     if d < drop:
                         drop = d
@@ -145,7 +185,7 @@ def monotone_suite(grid: Sequence[StruveParams],
         slack = math.inf
         slack_detail = ""
         for norm in NormalizationKind:
-            for alpha in alphas:
+            for alpha in _ALPHAS:
                 s = (values[(RadiusKind.STARLIKE, norm, alpha)]
                      - values[(RadiusKind.CONVEX, norm, alpha)])
                 if s < slack:
@@ -160,11 +200,11 @@ def monotone_suite(grid: Sequence[StruveParams],
     return SuiteReport("monotone", tuple(checks))
 
 
-def bessel_suite(nus: Iterable[float] = _BESSEL_NUS) -> SuiteReport:
+def bessel_suite() -> SuiteReport:
     """Dual-path evaluation, bound specializations and first zeros at the
     Bessel reduction."""
     checks = []
-    for nu in nus:
+    for nu in _BESSEL_NUS:
         params = reduce_to_bessel(nu)
 
         worst = 0.0

@@ -5,11 +5,14 @@ constraints, so a sign scan along the positive axis followed by a
 bracketed polish finds every zero. The scan starts with step 0.1,
 doubles the step after each zero beyond the fourth (zeros of these
 families spread out, never bunch up), after the first zero sums blocks
-of scan points about twice the last gap long, stops at MAX_ABSCISSA,
-and, when a reference ZeroSequence is supplied, falls back to half-step
-rescans if the expected interlacing pattern is violated; a violation can
-only mean a missed sign change, not mathematics. Each scan attempt's
-longest sequence per point and family answers every shorter request.
+of scan points about twice the last gap long and stops at MAX_ABSCISSA.
+A step that holds two zeros hides both, so the scan falls back to
+half-step rescans when its first zero fails the Euler–Rayleigh count
+certificate (``_certified_first``) or, when a reference ZeroSequence is
+supplied, the expected interlacing pattern is violated; either can only
+mean a missed sign change, not mathematics. A rescan's blocks start at 16
+points and double until its first zero. Each scan attempt's longest
+sequence per point and family answers every shorter request.
 
 Every sign the scan and the polish act on is certified, for the series
 at the exact abscissa and parameters (see ``struve.carrier``). The sign
@@ -220,7 +223,7 @@ def _polish(at: Callable[[float], tuple[float, int]], lo: float, hi: float,
 
 
 def _scan(series: LogSeries, family: AuxiliaryFamily, count: int,
-          step0: float, params: StruveParams,
+          attempt: int, params: StruveParams,
           ) -> tuple[list[float], list[tuple[float, float]], list[float]]:
     zeros: list[float] = []
     brackets: list[tuple[float, float]] = []
@@ -236,8 +239,9 @@ def _scan(series: LogSeries, family: AuxiliaryFamily, count: int,
     sign_lo = (v_lo > 0.0) - (v_lo < 0.0)
     if sign_lo == 0:
         raise NumericalError("scan requires a nonzero leading coefficient")
-    step = step0
-    block = _BLOCK
+    step = step0 = INITIAL_STEP / (2.0 ** attempt)
+    # A rescan seeks zeros a coarser scan saw: its blocks start small, doubling until a zero.
+    block = 16 if attempt else _BLOCK
     while len(zeros) < count:
         if t_lo >= MAX_ABSCISSA:
             raise ScanOverflowError(
@@ -283,6 +287,8 @@ def _scan(series: LogSeries, family: AuxiliaryFamily, count: int,
             else:
                 prev_t, prev_v, start = t, v, i + 1
         if flip is None:
+            if not zeros:
+                block = min(_BLOCK, 2 * block)
             if prev_t < ts[-1]:
                 prev_t, prev_v = float(ts[-1]), _as_float(mant[-1], expo[-1])
             t_lo, sign_lo, v_lo = prev_t, prev_s, prev_v
@@ -321,27 +327,53 @@ def _first_violation(first: Sequence[tuple[float, float]],
     return None
 
 
+def _certified_first(series: LogSeries, family: AuxiliaryFamily, hi: float) -> bool | None:
+    """Whether the zero bracketed below hi is the first. The roots rho_n are
+    real and positive, so two at or below hi make S_k hi^k >= 2 for every k,
+    S_k = sum_n rho_n^(-k); below a first zero's bracket top, S_k hi^k falls
+    toward 1 until (hi / rho_1)^k takes over. So k rises until S_k hi^k < 2
+    (True), until it stops falling (False: a zero below was missed), or to
+    the series' term count at hi, past which the power sums would cost more
+    than the scan (None). Exact rationals, at hi^2 for W and W'."""
+    num, hi_den = hi.as_integer_ratio()
+    if family in _SQUARED:
+        num, hi_den = num * num, hi_den * hi_den
+    kmax = series.eval_scaled(hi, family in _SQUARED).terms
+    sigma: list[int] = []
+    for k in range(1, kmax + 1):
+        if k > len(sigma):  # k = 1 almost always settles it, and costs least
+            sigma, den = series.power_sums(min(kmax, 2 * len(sigma) or 1))
+            scale = den * hi_den
+        if sigma[k - 1] * num ** k < 2 * scale ** k:
+            return True
+        if k > 1 and sigma[k - 1] * num >= sigma[k - 2] * scale:
+            return False
+    return None
+
+
 _MAX_SEQUENCES = 4096
-# (params, family, scan attempt) -> its longest ZeroSequence; oldest out first.
-_SEQUENCES: dict[tuple[StruveParams, AuxiliaryFamily, int], ZeroSequence] = {}
+# (params, family, scan attempt) -> (longest ZeroSequence, its _certified_first).
+_SEQUENCES: dict[tuple[StruveParams, AuxiliaryFamily, int], tuple[ZeroSequence, bool | None]] = {}
 
 
 def _scanned(params: StruveParams, family: AuxiliaryFamily, count: int,
-             attempt: int) -> ZeroSequence:
-    """The first ``count`` zeros of the scan with step INITIAL_STEP / 2^attempt.
-    The scan is prefix-deterministic (a scan for fewer zeros stops where one
-    for more goes on), so only a request longer than the stored one scans."""
+             attempt: int) -> tuple[ZeroSequence, bool | None]:
+    """The first ``count`` zeros of the scan with step INITIAL_STEP / 2^attempt,
+    and ``_certified_first`` of the first of them. The scan is
+    prefix-deterministic (a scan for fewer zeros stops where one for more
+    goes on), so only a request longer than the stored one scans."""
     key = (params, family, attempt)
-    seq = _SEQUENCES.get(key)
+    seq, certified = _SEQUENCES.get(key, (None, None))
     if seq is None or len(seq.zeros) < count:
-        zeros, brackets, residuals = _scan(family_series(params, family), family, count,
-                                           INITIAL_STEP / (2.0 ** attempt), params)
-        seq = _SEQUENCES[key] = ZeroSequence(family, params, tuple(zeros),
-                                             tuple(residuals), tuple(brackets))
+        series = family_series(params, family)
+        zeros, brackets, residuals = _scan(series, family, count, attempt, params)
+        seq = ZeroSequence(family, params, tuple(zeros), tuple(residuals), tuple(brackets))
+        certified = _certified_first(series, family, brackets[0][1])
+        _SEQUENCES[key] = seq, certified
         if len(_SEQUENCES) > _MAX_SEQUENCES:
             del _SEQUENCES[next(iter(_SEQUENCES))]
     return ZeroSequence(family, params, seq.zeros[:count], seq.residuals[:count],
-                        seq.brackets[:count])
+                        seq.brackets[:count]), certified
 
 
 def find_zeros(params: StruveParams, family: AuxiliaryFamily, count: int,
@@ -350,30 +382,36 @@ def find_zeros(params: StruveParams, family: AuxiliaryFamily, count: int,
 
     Each zero is bracketed by a certified sign change and polished
     (``_polish``) to interval width 1e-12 * (1 + zero), or to the narrowest
-    bracket whose ends the exact re-sum still certifies.
-    ``reference`` optionally supplies a sequence whose zeros must interlace
-    the requested ones (e.g. pass the W zeros when scanning W'), compared
-    by their brackets; an interlacing violation triggers half-step
-    rescans. A scan attempt runs again only to find more zeros than it
-    already holds for the point and family, so ``first_zero`` after
-    ``find_zeros`` scans nothing.
+    bracket whose ends the exact re-sum still certifies. The first zero is
+    certified to be the first by the power sums of the family's series
+    (``_certified_first``). ``reference`` optionally supplies a sequence
+    whose zeros must interlace the requested ones (e.g. pass the W zeros
+    when scanning W'), compared by their brackets. A failed certificate or
+    an interlacing violation triggers half-step rescans. A scan attempt
+    runs again only to find more zeros than it already holds for the point
+    and family, so ``first_zero`` after ``find_zeros`` scans nothing.
 
     Raises ScanOverflowError when fewer than ``count`` zeros lie below
-    MAX_ABSCISSA, and PrecisionLossError when the sign at a scan point
-    cannot be certified even by the exact re-sum at its largest precision.
+    MAX_ABSCISSA, PrecisionLossError when the sign at a scan point cannot
+    be certified even by the exact re-sum at its largest precision, and
+    NumericalError when no scan attempt passes both checks or, at once,
+    when the certificate runs out of power sums before it decides.
     """
     family = AuxiliaryFamily(family)
     if not isinstance(count, int) or count < 1 or count > MAX_COUNT:
         raise ValueError(f"count must be an integer in [1, {MAX_COUNT}], got {count!r}")
     ref = reference.brackets if reference is not None else ()
-    for attempt in range(_MAX_RESCANS if ref else 1):
-        seq = _scanned(params, family, count, attempt)
+    for attempt in range(_MAX_RESCANS):
+        seq, certified = _scanned(params, family, count, attempt)
+        if certified is None:  # a finer scan finds the same first zero
+            raise NumericalError(f"the first zero of {family} for {params} could not "
+                                 f"be certified the first before k reached the term count")
         # Either sequence may come first along the axis: the lower first bracket leads.
-        if not ref or _first_violation(*sorted((seq.brackets, ref))) is None:
+        if certified and (not ref or _first_violation(*sorted((seq.brackets, ref))) is None):
             return seq
     raise NumericalError(
-        f"zeros of {family} for {params} kept violating the reference "
-        f"interlacing pattern after {_MAX_RESCANS} half-step rescans"
+        f"zeros of {family} for {params} kept failing the first-zero certificate "
+        f"or the reference interlacing pattern after {_MAX_RESCANS} half-step rescans"
     )
 
 

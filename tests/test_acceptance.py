@@ -26,7 +26,7 @@ from struveradii import (
     reduce_to_bessel,
 )
 from struveradii.bessel import CorollaryFamily
-from struveradii.grid import default_grid, default_shapes
+from struveradii.verify import default_grid, default_shapes
 from struveradii.radii import RadiusKind, RadiusQuery
 from struveradii.struve import NormalizationKind as NK
 from struveradii.zeros import AuxiliaryFamily as AF

@@ -242,3 +242,14 @@ def test_bound_family_table(capsys):
         assert record["diagnostics"]["radius_kind"] == bound_kind.value
         assert check.name.startswith(f"sandwich {family.value} ")
         assert f"radius={_solve(params, kind, norm).value!r}" in check.detail
+
+
+def test_convex_g_radius_within_its_bounds_at_a_wide_point():
+    # The first two zeros of g'(2 sqrt(u)) here lie within the scan's first
+    # step; the search limit is the first of them, so the radius keeps to
+    # its k = 1 bounds, about [0.0647, 0.0748].
+    params = StruveParams(q=1, p=2.8658648501006665, b=3.3980979256170545,
+                          c=473.9121941011824, delta=1.6301337957369189)
+    pair = bounds_for(params, AF.ALEX_G_SUBST, 1)
+    value = _solve(params, RadiusKind.CONVEX, NK.G).value
+    assert pair.lower < value < pair.upper

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import mpmath as mp
 import pytest
@@ -12,6 +13,7 @@ from struveradii import (
     eval_normalized,
     find_zeros,
     first_zero,
+    reduce_to_bessel,
 )
 from struveradii import zeros
 from struveradii.struve import NormalizationKind
@@ -214,6 +216,51 @@ class TestSequenceCache:
                                       full.residuals[:k], full.brackets[:k])
                 assert short_first[k] == prefix
                 assert long_first[k] == prefix
+
+
+# Points where the first 0.1 step of the scan holds the first two zeros of
+# g'(2 sqrt(u)) and of h'(4u), so that the first sign change the scan sees
+# is the third zero.
+WIDE_POINTS = [
+    StruveParams(q=1, p=2.8658648501006665, b=3.3980979256170545,
+                 c=473.9121941011824, delta=1.6301337957369189),
+    StruveParams(q=2, p=5.915360096481802, b=0.27851559241673174,
+                 c=810.4953516413045, delta=2.9523240632798666),
+]
+
+
+@pytest.mark.parametrize("params", WIDE_POINTS)
+@pytest.mark.parametrize("family", [AuxiliaryFamily.G_PRIME_SUBST,
+                                    AuxiliaryFamily.H_PRIME_SUBST])
+def test_first_zero_is_certified_the_first(params, family):
+    # The scan at the initial step fails the certificate; the first zero
+    # returned lies in the k = 8 Euler-Rayleigh bracket
+    # S_8^(-1/8) < rho_1 < S_8 / S_9, compared in exact rationals.
+    assert zeros._scanned(params, family, 1, 0)[1] is False
+    sigma, den = family_series(params, family).power_sums(9)
+    z = Fraction(first_zero(params, family))
+    assert z ** 8 * sigma[7] > den ** 8
+    assert z * sigma[8] < sigma[7] * den
+
+
+@pytest.mark.parametrize("nu", [50, 100])
+def test_first_zero_certified_at_large_order(nu):
+    # For W at q = 1 the roots are j_(nu,n)^2, and the ratio j_(nu,1) /
+    # j_(nu,2) nears 1 as nu grows: S_4 j_(nu,1)^4 exceeds 2 here, so the
+    # certificate has to go on to higher power sums.
+    params = reduce_to_bessel(nu)
+    z = find_zeros(params, AuxiliaryFamily.W, 1).zeros[0]
+    assert z == pytest.approx(float(mp.besseljzero(nu, 1)), rel=1e-11)
+    assert zeros._scanned(params, AuxiliaryFamily.W, 1, 0)[1] is True
+
+
+def test_undecided_certificate_raises_without_rescans(monkeypatch):
+    params = StruveParams(q=1, p=0.7, b=1.3, c=0.4, delta=1.1)
+    monkeypatch.setattr(zeros, "_certified_first", lambda *args: None)
+    monkeypatch.setattr(zeros, "_SEQUENCES", {})
+    with pytest.raises(NumericalError, match="could not be certified the first"):
+        find_zeros(params, AuxiliaryFamily.W, 1)
+    assert [key[2] for key in zeros._SEQUENCES] == [0]
 
 
 class TestSubstitutedFamilies:

@@ -8,14 +8,14 @@ Every series of this package is a weighted gamma series
 with a rational scale s, a rational shift P > 0 and a weight w(n) that is
 a product of factors m n + k + a (m, k integers, a rational). Coefficients
 such as c^n / (n! Gamma(q n + P)) span hundreds of orders of magnitude, so
-no table of them is kept. A series keeps one table of integers instead,
-rho_n = r / t_n and w(n) = w_n / d, built once from the exact s, P and a
-(every double is a rational), and each sum runs the recurrence t_(n+1) =
-t_n rho_n u over it, applying the weight per term so that a zero weight
-stays exact.
+no table of them is kept. Integer tables are kept instead, built once
+from the exact s, P and a (every double is a rational): rho_n = r / t_n in
+one table per (s, q, P), shared by every series of those three, and each
+series' own weights w(n) = w_n / d. Each sum runs t_(n+1) = t_n rho_n u
+over them and applies the weight per term, so a zero weight stays exact.
 
 The double sums (``eval_scaled``, and ``eval_block`` vectorized over
-arguments) run on that table, each entry rounded once to a double. The
+arguments) run on these tables, each entry rounded once to a double. The
 running term is rescaled by powers of two, so no finite argument can
 overflow a sum. Summation stops once the current term falls below a fixed
 share of the largest partial sum seen, with at least MIN_TERMS terms
@@ -30,7 +30,7 @@ so the bound covers the series at the exact x^2 and the exact parameters.
 
 A sign counts as certain only where the value exceeds this bound
 (``ScaledValue.certain_sign``); elsewhere callers re-sum exactly with
-``LogSeries.eval_compensated``. It walks the same integer table in fixed
+``LogSeries.eval_compensated``. It walks the same integer tables in fixed
 point, in the manner of mpmath's hypergeometric summators: the argument
 is a dyadic rational (a double, or its square), each step is one floor
 division, and the error is kept in units of the last bit, so the bound
@@ -42,6 +42,7 @@ certified.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -107,11 +108,7 @@ def scaled_ratio(num: ScaledValue, den: ScaledValue) -> float:
         if num.mantissa == 0.0:
             return math.nan
         return math.copysign(math.inf, num.mantissa)
-    q = num.mantissa / den.mantissa
-    try:
-        return math.ldexp(q, num.exponent - den.exponent)
-    except OverflowError:
-        return math.copysign(math.inf, q)
+    return _as_float(num.mantissa / den.mantissa, num.exponent - den.exponent)
 
 
 def _newton(coeffs: list[int], den: int, kmax: int) -> list[int]:
@@ -138,12 +135,45 @@ def _as_float(mantissa: float, exponent: int) -> float:
         return math.copysign(math.inf, mantissa)
 
 
+class _Ratios:
+    """rho_n = r / t_n for one exact (s, q, P), P = N / D: r = s_num D^q,
+    the integers t_n = 4 s_den (n+1) prod_j ((q n + j) D + N) and the rho_n
+    rounded to doubles. The lists only grow, so a local binding stays valid."""
+
+    def __init__(self, scale: Fraction, q: int, shift: Fraction):
+        s_num, s_den = scale.as_integer_ratio()
+        self.q, self.shift = q, shift.as_integer_ratio()
+        self.r = s_num * self.shift[1] ** q
+        self.t_unit = 4 * s_den
+        self.divisors: list[int] = []
+        self.ratios: list[float] = []
+
+    def grow(self, size: int) -> None:
+        q, (num, den) = self.q, self.shift
+        for n in range(len(self.divisors), size):
+            t = self.t_unit * (n + 1)
+            for j in range(q):
+                t *= (q * n + j) * den + num
+            self.divisors.append(t)
+            try:
+                ratio = self.r / t  # correctly rounded, as is w / d
+            except OverflowError:
+                ratio = math.copysign(math.inf, self.r)
+            self.ratios.append(ratio)
+
+
+# (s, q, P) -> its ratio table, for as long as some series holds it.
+_TABLES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
 class LogSeries:
     """Power series sum_n a_n u^n kept as a table of coefficient ratios.
 
     ``scale`` is s and ``shift`` is P, both exact rationals; ``q`` gives
     the gamma factors q n + j + P of rho_n, and each factor (m, k, a) of
     ``weight`` is m n + k + a for a rational a (a double is taken exactly).
+    Every series of one (s, q, P) shares its ratio table (``_TABLES``); a
+    series keeps only its own weights and label.
 
     The class is named for the log-space coefficients it stored before the
     ratio table replaced them; the name stays because callers and the
@@ -153,45 +183,30 @@ class LogSeries:
 
     def __init__(self, scale: Fraction, q: int, shift: Fraction,
                  weight: tuple[tuple[int, int, float | Fraction], ...], label: str = ""):
-        s_num, s_den = Fraction(scale).as_integer_ratio()
-        self._shift = Fraction(shift).as_integer_ratio()
-        self._q = q
+        key = (Fraction(scale), q, Fraction(shift))
+        self._table = _TABLES.get(key) or _TABLES.setdefault(key, _Ratios(*key))
         self.label = label
-        # rho_n = r / t_n with P = N / D: r = s_num D^q and t_n = 4 s_den
-        # (n+1) prod_j ((q n + j) D + N). A weight factor with a = a_num /
-        # a_den is ((m a_den) n + k a_den + a_num) / a_den.
-        self._r = s_num * self._shift[1] ** q
-        self._t_unit = 4 * s_den
+        # A weight factor with a = a_num / a_den is ((m a_den) n + k a_den
+        # + a_num) / a_den.
         self._factors: list[tuple[int, int]] = []
         self._weight_den = 1
         for m, k, a in weight:
             a_num, a_den = Fraction(a).as_integer_ratio()
             self._factors.append((m * a_den, k * a_den + a_num))
             self._weight_den *= a_den
-        self._divisors: list[int] = []     # t_n
         self._weight_nums: list[int] = []  # w_n
-        self._ratios: list[float] = []     # rho_n and w(n), rounded to doubles
-        self._weights: list[float] = []
+        self._weights: list[float] = []    # w(n), rounded to doubles
         # Roundings of a weight: its own and that of its product with a term.
         self._weight_ops = 2 if weight else 0
 
     def _grow(self, size: int) -> None:
-        """Extend the integer table, and its doubles, to ``size`` entries."""
-        q, (num, den) = self._q, self._shift
-        for n in range(len(self._divisors), size):
-            t = self._t_unit * (n + 1)
-            for j in range(q):
-                t *= (q * n + j) * den + num
+        """Extend the shared ratios, then the weights, to ``size`` entries."""
+        self._table.grow(size)
+        for n in range(len(self._weights), size):
             w = 1
             for slope, offset in self._factors:
                 w *= slope * n + offset
-            self._divisors.append(t)
             self._weight_nums.append(w)
-            try:
-                ratio = self._r / t  # correctly rounded, as is w / d
-            except OverflowError:
-                ratio = math.copysign(math.inf, self._r)
-            self._ratios.append(ratio)
             self._weights.append(w / self._weight_den)
 
     @property
@@ -205,11 +220,11 @@ class LogSeries:
         positive denominator: w_n r^n prod_(n<=i<count-1) t_i over w_0
         prod_(i<count-1) t_i, both times the sign of w_0."""
         self._grow(count)
-        weights, divisors = self._weight_nums, self._divisors
+        weights, divisors, r = self._weight_nums, self._table.divisors, self._table.r
         sign = 1 if weights[0] > 0 else -1
         nums, tail = [0] * count, 1  # tail = prod_(n<=i<count-1) t_i
         for n in reversed(range(count)):
-            nums[n] = sign * weights[n] * self._r ** n * tail
+            nums[n] = sign * weights[n] * r ** n * tail
             if n:
                 tail *= divisors[n - 1]
         return nums, sign * weights[0] * tail
@@ -225,7 +240,7 @@ class LogSeries:
         ``rounded``, at a u within one rounding of the intended argument.
         eval_block calls this for its term count, so that wherever calls of
         eval_scaled are counted, a block counts as one evaluation."""
-        ratios, weights = self._ratios, self._weights
+        ratios, weights = self._table.ratios, self._weights
         step, ops = _STEP_OPS + rounded, self._weight_ops
         t = 1.0         # prod_(k<n) rho_k u^n, in units of 2**exponent
         s = 0.0
@@ -295,7 +310,7 @@ class LogSeries:
             raise ValueError("block arguments must be finite and > 0")
         nterms = self._sum(u_max, square).terms
         step = _STEP_OPS + square
-        ratios, weights = self._ratios, self._weights
+        ratios, weights = self._table.ratios, self._weights
         t = np.ones_like(u)
         s = np.zeros_like(u)
         bound = np.zeros_like(u)
@@ -355,9 +370,9 @@ class LogSeries:
         then the terms alternate and fall, so the tail is bounded by the
         last term kept.
         """
-        r = self._r * u_num
+        r = self._table.r * u_num
         abs_r = abs(r)
-        divisors, weights = self._divisors, self._weight_nums
+        divisors, weights = self._table.divisors, self._weight_nums
         term, error = 1 << bits, 0
         total = bound = 0
         n = 0

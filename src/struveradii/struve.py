@@ -18,17 +18,17 @@ Everything reduces to weighted variants of the core series
     beta_n = (-1)^n c^n Gamma(P) / (4^n n! Gamma(q n + P)),
 
 for which  2^(p+1) Gamma(P) W(x) = x^(p+1) S(x^2),  g(x) = x S(x^2) and
-h(x) = x S(x).  Each carrier is one table of the exact ratios
-beta_(n+1) / beta_n = -c / (4 (n+1) prod_j (q n + j + P)) and of its
-weights, as integers, summed by one recurrence that rescales by powers of
-two, so no admissible parameter choice can overflow an evaluation, and
-every double-precision sum comes with a running error bound (see
-``series``). Where that bound does not settle a result, the same table is
-re-summed exactly, in fixed point (``compensated_carrier_value``).
+h(x) = x S(x).  Each carrier keeps its weights, as integers, and reads the
+exact ratios s beta_(n+1) / beta_n = -s c / (4 (n+1) prod_j (q n + j + P))
+from one table per scale s (1 or 4) that all the carriers of a point share.
+One recurrence sums them and rescales by powers of two, so no admissible
+parameter choice can overflow an evaluation, and every double-precision
+sum comes with a running error bound (see ``series``). Where that bound
+does not settle a result, the same tables are re-summed exactly, in fixed
+point (``compensated_carrier_value``).
 
-P is held exactly (``exact_shift``), and the carriers' tables, the
-products (P)_m = Gamma(P+m) / Gamma(P) and the exact coefficients all
-derive from it.
+P is held exactly (``exact_shift``), and the carriers' ratio tables and
+the products (P)_m = Gamma(P+m) / Gamma(P) derive from it.
 
 Only the positive real axis is supported: every radius computed
 downstream is the smallest positive root of a real equation. For
@@ -52,7 +52,6 @@ __all__ = [
     "exact_shift",
     "shift_rising",
     "log_gamma",
-    "exact_coefficients",
     "eval_w",
     "eval_normalized",
     "log_derivative",
@@ -153,15 +152,6 @@ def log_gamma(x: float) -> float:
     if not math.isfinite(x) or x <= 0.0:
         raise ValueError(f"log_gamma requires finite x > 0, got {x!r}")
     return math.lgamma(x)
-
-
-def exact_coefficients(params: StruveParams, key: str, count: int) -> tuple[list[int], int]:
-    """a_n / a_0, n < count, of a carrier with a_0 != 0, exactly: integer
-    numerators over one common positive denominator, from the carrier's
-    integer table (see ``series.LogSeries``)."""
-    if not isinstance(count, int) or count < 1:
-        raise ValueError(f"count must be an integer >= 1, got {count!r}")
-    return carrier(params, key)._coefficients(count)
 
 
 @lru_cache(maxsize=4096)

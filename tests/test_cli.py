@@ -171,6 +171,16 @@ def test_verify_with_grid_file(tmp_path, capsys):
     assert main(["verify", "--suite", "interlacing", "--grid", str(empty)]) == 2
 
 
+@pytest.mark.parametrize("q", [2.7, True])
+def test_verify_grid_rejects_non_integer_q(tmp_path, capsys, q):
+    # A q that is not an int is refused, not truncated to int(q).
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps([{"q": q, "p": 0.5, "b": 1.0, "c": 2.0, "delta": 0.5}]))
+    code, out = run_cli(capsys, "verify", "--suite", "sandwich", "--grid", str(grid))
+    assert code == 2
+    assert "[PASS]" not in out
+
+
 def test_verify_count_reaches_interlacing(tmp_path, capsys):
     # Only 28 zeros of W lie below the scan limit at this point, so 29
     # must fail with a numerical error while 5 pass.

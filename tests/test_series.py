@@ -1,4 +1,9 @@
-"""The error bound of every carrier sum holds against a 60-digit sum."""
+"""The error bound of every carrier sum holds against a 60-digit sum, and
+the carriers of a point share their ratio tables without changing a bit."""
+
+import gc
+import weakref
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -6,7 +11,8 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from struveradii import AuxiliaryFamily, StruveParams, find_zeros
+from struveradii import AuxiliaryFamily, StruveParams, find_zeros, series
+from struveradii.series import LogSeries
 from struveradii.struve import _WEIGHTS, carrier, compensated_carrier_value
 
 from conftest import mp_shift
@@ -82,3 +88,48 @@ def test_exact_tier_far_out(q, x):
     with mp.workdps(120):
         exact = mp_weighted_carrier(params, "w0", mp.mpf(x) ** 2, dps=120)
         assert abs(mp.mpf(sv.mantissa) - exact) <= sv.error
+
+
+Q2_PARAMS = StruveParams(q=2, p=0.5, b=1.0, c=2.0, delta=0.5)
+
+
+def test_carriers_share_one_table_per_scale():
+    tables = {key: carrier(Q2_PARAMS, key)._table for key in _WEIGHTS}
+    for key, (base, _) in _WEIGHTS.items():
+        assert tables[key] is tables["w0" if base == 1 else "gp_subst"]
+    assert tables["w0"] is not tables["gp_subst"]
+
+
+def _outputs(series_: LogSeries) -> list:
+    return [series_.eval_scaled(0.3), series_.eval_scaled(2.5, square=True),
+            [a.tolist() for a in series_.eval_block(np.array([0.2, 1.5, 6.0]))],
+            series_.eval_compensated(3.1), series_.eval_compensated(1.7, square=True),
+            series_.power_sums(6)]
+
+
+@pytest.mark.parametrize("key", sorted(_WEIGHTS))
+def test_cold_table_matches_grown_table(monkeypatch, key):
+    # A carrier built on a table of its own, and one built on a table that
+    # another carrier of its scale has already grown far, sum alike.
+    build = carrier.__wrapped__  # a new series, past carrier's cache
+    monkeypatch.setattr(series, "_TABLES", weakref.WeakValueDictionary())
+    cold = build(Q2_PARAMS, key)
+    assert cold._table.ratios == []
+    expected = _outputs(cold)
+    monkeypatch.setattr(series, "_TABLES", weakref.WeakValueDictionary())
+    grower = build(Q2_PARAMS, "w2" if _WEIGHTS[key][0] == 1 else "alexg_subst")
+    grower.eval_scaled(400.0)
+    warm = build(Q2_PARAMS, key)
+    assert warm._table is grower._table
+    assert len(warm._table.ratios) > len(cold._table.ratios)
+    assert _outputs(warm) == expected
+
+
+def test_table_leaves_with_its_last_series():
+    key = (Fraction(-7, 3), 2, Fraction(5, 2))  # a scale no carrier uses
+    only = LogSeries(*key, ())
+    only.eval_scaled(1.0)
+    assert series._TABLES[key] is only._table
+    del only
+    gc.collect()
+    assert key not in series._TABLES

@@ -17,7 +17,7 @@ from struveradii import (
     find_zeros,
     log_derivative,
 )
-from struveradii.struve import exact_coefficients
+from struveradii.struve import carrier
 from struveradii.zeros import AuxiliaryFamily
 
 J1_AT_2 = 0.5767248077568734          # J_1(2), frozen from the mpmath oracle
@@ -58,16 +58,16 @@ class TestParams:
 class TestCoefficient:
     # The exact coefficients beta_n of S(u); the coefficient of
     # (x/2)^(2n+p+1) in W is a_n = (-1)^n c^n / (n! Gamma(q n + P)) =
-    # 4^n beta_n / Gamma(P).
+    # 4^n beta_n / Gamma(P). The W-carrier gives beta_n / beta_0 exactly.
     def test_first_terms_bessel(self, bessel_params):
-        nums, den = exact_coefficients(bessel_params, "w0", 2)
+        nums, den = carrier(bessel_params, "w0")._coefficients(2)
         assert nums[0] == den
         # a_1 = -1 / Gamma(3) = -1/2 and Gamma(P) = 1
         assert 4 * Fraction(nums[1], den) == Fraction(-1, 2)
 
     def test_q2_term(self):
         # a_3 = -2^3 / (3! Gamma(6 + 2.5)); log magnitude frozen from mpmath
-        nums, den = exact_coefficients(Q2_PARAMS, "w0", 4)
+        nums, den = carrier(Q2_PARAMS, "w0")._coefficients(4)
         beta_3 = Fraction(nums[3], den)
         rising = math.prod(Fraction(5 + 2 * j, 2) for j in range(6))  # (2.5)_6
         assert beta_3 == Fraction(-8, 4 ** 3 * 6) / rising
@@ -75,14 +75,9 @@ class TestCoefficient:
         assert math.log(-a_3) == pytest.approx(-9.261585184849217, rel=1e-13)
 
     def test_sign_alternates(self):
-        nums, den = exact_coefficients(Q2_PARAMS, "w0", 6)
+        nums, den = carrier(Q2_PARAMS, "w0")._coefficients(6)
         assert den > 0
         assert [(a > 0) - (a < 0) for a in nums] == [1, -1, 1, -1, 1, -1]
-
-    def test_rejects_negative_index(self):
-        for bad in (-1, 0):
-            with pytest.raises(ValueError):
-                exact_coefficients(Q2_PARAMS, "w0", bad)
 
 
 class TestEvalW:

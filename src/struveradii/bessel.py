@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from enum import Enum
-from fractions import Fraction
 
 from .bounds import _FAMILIES, BoundsPair
 from .errors import ConvergenceError, ScanOverflowError
@@ -56,28 +55,33 @@ def bessel_j(nu: float, x: float) -> float:
     if x > MAX_X:
         raise ValueError(f"x must be <= {MAX_X:g}, got {x!r}")
 
-    quarter = Fraction(x) ** 2 / 4
-    nu_frac = Fraction(nu)
-    term = Fraction(1)
-    total = Fraction(1)
+    # The term t / d and the total a / d share one unreduced denominator d;
+    # each step multiplies the term by -(x/2)^2 / (k (nu + k)) = lift / grow.
+    x_num, x_den = x.as_integer_ratio()
+    nu_num, nu_den = nu.as_integer_ratio()
+    lift = -x_num * x_num * nu_den
+    t = a = d = 1
     peak = 1.0
     k = 0
     while True:
         k += 1
-        term *= -quarter / (k * (nu_frac + k))
-        total += term
-        peak = max(peak, abs(float(total)))
+        grow = 4 * x_den * x_den * k * (nu_num + k * nu_den)
+        t *= lift
+        a = a * grow + t
+        d *= grow
+        total = a / d  # int true division rounds correctly
+        peak = max(peak, abs(total))
         # The partial sums cancel down from ~e^x to the final value, so
         # the cut must be relative to the current total (which has
         # converged near it by then), with an absolute floor for the
         # case of a total that is genuinely zero to double precision.
-        t_mag = abs(float(term))
-        if k >= 8 and (t_mag <= 1e-22 * abs(float(total)) or t_mag <= 1e-40 * peak):
+        t_mag = abs(t / d)
+        if k >= 8 and (t_mag <= 1e-22 * abs(total) or t_mag <= 1e-40 * peak):
             break
         if k > _MAX_TERMS:
             raise ConvergenceError(f"Bessel series needed more than {_MAX_TERMS} terms")
     prefactor = math.exp(nu * math.log(x / 2.0) - math.lgamma(nu + 1.0))
-    return prefactor * float(total)
+    return prefactor * total
 
 
 def bessel_j_zeros(nu: float, count: int) -> tuple[float, ...]:

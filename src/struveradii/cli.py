@@ -13,7 +13,8 @@ round-trip to the same double, so identical invocations are
 byte-identical and emitted values can be fed back in unchanged.
 
 Exit codes: 0 success, 2 usage error, 3 numerical failure (including
-failed verification checks).
+failed verification checks), 141 stdout closed before the record was
+written (as by ``| head``).
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from dataclasses import asdict
 from typing import Any, Callable
@@ -246,7 +248,15 @@ def main(argv: list[str] | None = None) -> int:
     except NumericalError as exc:
         print(f"numerical error in '{args.command}': {exc}", file=sys.stderr)
         return 3
-    _emit(record, args.format)
+    try:
+        _emit(record, args.format)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader left early (`| head`). Send what is still buffered to
+        # devnull, as the docs of the signal module advise, so that the
+        # flush at exit cannot fail again, and exit as a SIGPIPE would.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     return code
 
 

@@ -78,7 +78,8 @@ class StruveParams:
             raise ValueError(f"q must be an integer >= 1, got {self.q!r}")
         for name in ("p", "b", "c", "delta"):
             v = getattr(self, name)
-            if not isinstance(v, (int, float)) or not math.isfinite(float(v)):
+            if (not isinstance(v, (int, float)) or isinstance(v, bool)
+                    or not math.isfinite(float(v))):
                 raise ValueError(f"{name} must be a finite real, got {v!r}")
             object.__setattr__(self, name, float(v))
         if self.delta <= 0.0:

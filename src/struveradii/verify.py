@@ -76,8 +76,8 @@ def load_grid(path: str | Path) -> tuple[StruveParams, ...]:
         if not isinstance(entry, dict):
             raise ValueError(f"grid entry {i} is not an object: {entry!r}")
         try:
-            points.append(StruveParams(q=entry["q"], **{
-                key: float(entry[key]) for key in ("p", "b", "c", "delta")}))
+            points.append(StruveParams(**{
+                key: entry[key] for key in ("q", "p", "b", "c", "delta")}))
         except KeyError as exc:
             raise ValueError(f"grid entry {i} is missing key {exc}") from exc
     return tuple(points)

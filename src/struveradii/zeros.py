@@ -14,6 +14,16 @@ mean a missed sign change, not mathematics. A rescan's blocks start at 16
 points and double until its first zero. Each scan attempt's longest
 sequence per point and family answers every shorter request.
 
+When the first block holds no zero, the scan jumps toward the
+Euler–Rayleigh floor (``_euler_rayleigh_floor``): the roots rho_n are
+real and positive, so S_1 = sum_n 1/rho_n > 1/rho_1, and no zero lies at
+or below 1/S_1 in the family's variable. A floor at or past MAX_ABSCISSA
+raises ScanOverflowError at once. Otherwise the scan passes over the
+blocks below the floor without summing them, stepping its block start
+and size by the very float operations it would have made, and sums the
+last of them. Its grid, and so every zero and bracket, is the one the
+scan from the origin gives.
+
 Every sign the scan and the polish act on is certified, for the series
 at the exact abscissa and parameters (see ``struve.carrier``). The sign
 of the double-precision sum counts only where the value exceeds its error
@@ -242,6 +252,7 @@ def _scan(series: LogSeries, family: AuxiliaryFamily, count: int,
     step = step0 = INITIAL_STEP / (2.0 ** attempt)
     # A rescan seeks zeros a coarser scan saw: its blocks start small, doubling until a zero.
     block = 16 if attempt else _BLOCK
+    floor = None  # _euler_rayleigh_floor, once the first block holds no zero
     while len(zeros) < count:
         if t_lo >= MAX_ABSCISSA:
             raise ScanOverflowError(
@@ -292,6 +303,21 @@ def _scan(series: LogSeries, family: AuxiliaryFamily, count: int,
             if prev_t < ts[-1]:
                 prev_t, prev_v = float(ts[-1]), _as_float(mant[-1], expo[-1])
             t_lo, sign_lo, v_lo = prev_t, prev_s, prev_v
+            if not zeros and floor is None:
+                floor = _euler_rayleigh_floor(series, family)
+                if floor >= MAX_ABSCISSA:
+                    raise ScanOverflowError(
+                        f"found only 0 of {count} zeros below abscissa {MAX_ABSCISSA:g} "
+                        f"for {series.label}: the first lies above its Euler–Rayleigh "
+                        f"floor {floor:g}")
+                # Pass over every block whose successor also lies below the
+                # floor, with the scan's own float operations, so that the
+                # block after them is summed and the grid stays the same.
+                while True:
+                    end, after = t_lo + step * block, min(_BLOCK, 2 * block)
+                    if end + step * after > floor:
+                        break
+                    t_lo, block, v_lo = end, after, None
             continue
         if prev_v is None:
             prev_v = at(prev_t)[0]
@@ -351,6 +377,30 @@ def _certified_first(series: LogSeries, family: AuxiliaryFamily, hi: float) -> b
     return None
 
 
+def _euler_rayleigh_floor(series: LogSeries, family: AuxiliaryFamily) -> float:
+    """The largest double x_0 with x_0 (x_0^2 for W and W') at most 1/S_1,
+    checked in exact rationals. The roots are real and positive, so
+    1/S_1 < rho_1: the first zero lies above x_0."""
+    (sigma,), den = series.power_sums(1)  # 1/S_1 = den / sigma
+    squared = family in _SQUARED
+
+    def below(x: float) -> bool:
+        num, x_den = x.as_integer_ratio()
+        return (num * num * sigma <= den * x_den * x_den if squared
+                else num * sigma <= den * x_den)
+
+    try:
+        x = den / sigma
+    except OverflowError:
+        return math.inf
+    x = math.sqrt(x) if squared else x
+    while not below(x):
+        x = math.nextafter(x, 0.0)
+    while (up := math.nextafter(x, math.inf)) < math.inf and below(up):
+        x = up
+    return x
+
+
 _MAX_SEQUENCES = 4096
 # (params, family, scan attempt) -> (longest ZeroSequence, its _certified_first).
 _SEQUENCES: dict[tuple[StruveParams, AuxiliaryFamily, int], tuple[ZeroSequence, bool | None]] = {}
@@ -389,13 +439,17 @@ def find_zeros(params: StruveParams, family: AuxiliaryFamily, count: int,
     when scanning W'), compared by their brackets. A failed certificate or
     an interlacing violation triggers half-step rescans. A scan attempt
     runs again only to find more zeros than it already holds for the point
-    and family, so ``first_zero`` after ``find_zeros`` scans nothing.
+    and family, so ``first_zero`` after ``find_zeros`` scans nothing. The
+    scan for the first zero sums no block wholly below the Euler–Rayleigh
+    floor 1/S_1 but the last, and gives the zeros the scan from the
+    origin gives.
 
     Raises ScanOverflowError when fewer than ``count`` zeros lie below
-    MAX_ABSCISSA, PrecisionLossError when the sign at a scan point cannot
-    be certified even by the exact re-sum at its largest precision, and
-    NumericalError when no scan attempt passes both checks or, at once,
-    when the certificate runs out of power sums before it decides.
+    MAX_ABSCISSA (right after the first block when the floor does not),
+    PrecisionLossError when the sign at a scan point cannot be certified
+    even by the exact re-sum at its largest precision, and NumericalError
+    when no scan attempt passes both checks or, at once, when the
+    certificate runs out of power sums before it decides.
     """
     family = AuxiliaryFamily(family)
     if not isinstance(count, int) or count < 1 or count > MAX_COUNT:

@@ -1,6 +1,10 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -179,6 +183,31 @@ def test_verify_grid_rejects_non_integer_q(tmp_path, capsys, q):
     code, out = run_cli(capsys, "verify", "--suite", "sandwich", "--grid", str(grid))
     assert code == 2
     assert "[PASS]" not in out
+
+
+@pytest.mark.parametrize("value", ["2", True])
+@pytest.mark.parametrize("key", ["p", "b", "c", "delta"])
+def test_verify_grid_rejects_non_real_fields(tmp_path, capsys, key, value):
+    # A string or a bool is refused, not converted by float().
+    entry = {"q": 1, "p": 0.5, "b": 2.0, "c": 1.0, "delta": 1.0, key: value}
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps([entry]))
+    code, out = run_cli(capsys, "verify", "--suite", "sandwich", "--grid", str(grid))
+    assert code == 2
+    assert "[PASS]" not in out
+
+
+def test_closed_stdout_exits_quietly():
+    # The reader closes the pipe before any output arrives, as `| head`
+    # can: the CLI exits 141 without a traceback.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "struveradii", "zeros", *BESSEL_ARGS],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")})
+    proc.stdout.close()
+    stderr = proc.communicate(timeout=60)[1]
+    assert proc.returncode == 141
+    assert stderr == b""
 
 
 def test_verify_count_reaches_interlacing(tmp_path, capsys):

@@ -44,6 +44,8 @@ class TestParams:
             dict(q=1, p=0.0, b=2.0, c=0.0, delta=1.0),
             dict(q=1, p=0.0, b=2.0, c=1.0, delta=0.0),
             dict(q=1, p=0.0, b=2.0, c=float("nan"), delta=1.0),
+            dict(q=1, p=0.0, b=2.0, c=True, delta=1.0),
+            dict(q=1, p=False, b=2.0, c=1.0, delta=1.0),
         ],
     )
     def test_rejects_bad_params(self, kwargs):

@@ -16,7 +16,9 @@ from struveradii import (
     reduce_to_bessel,
 )
 from struveradii import zeros
+from struveradii.series import LogSeries
 from struveradii.struve import NormalizationKind
+from struveradii.verify import default_grid
 from struveradii.zeros import AuxiliaryFamily, certified_sign, family_series
 
 from conftest import mp_carrier, mp_shift
@@ -311,3 +313,66 @@ class TestSubstitutedFamilies:
                     assert abs(sv.over_peak()) < 1e-9
                 else:
                     assert value == pytest.approx(float(exact), rel=1e-12)
+
+
+# radii-wide points whose first zeros lie far out: at FAR_OUT the floor of
+# g'(2 sqrt(u)) is 2.03e6, past MAX_ABSCISSA; at FLOOR_BELOW the floor of
+# ALEX_H is 9,948 and its first zero 10,126.
+FAR_OUT = StruveParams(q=6, p=7.119778829023639, b=1.281886673540658,
+                       c=0.008939425725402945, delta=3.1576564556632842)
+FLOOR_BELOW = StruveParams(q=4, p=2.3329738620732456, b=2.0589864886945453,
+                           c=0.026834968041021805, delta=3.4920126250934915)
+
+
+def _spy_blocks(monkeypatch) -> list[int]:
+    """Record the size of every eval_block call from now on."""
+    sizes = []
+    eval_block = LogSeries.eval_block
+
+    def spy(self, u, square=False):
+        sizes.append(len(u))
+        return eval_block(self, u, square)
+
+    monkeypatch.setattr(LogSeries, "eval_block", spy)
+    monkeypatch.setattr(zeros, "_SEQUENCES", {})
+    return sizes
+
+
+def test_floor_past_the_cap_raises_after_the_first_block(monkeypatch):
+    # A scan from the origin would sum about 9,800 blocks before it gave up.
+    sizes = _spy_blocks(monkeypatch)
+    with pytest.raises(ScanOverflowError, match="Euler–Rayleigh floor 2.03"):
+        find_zeros(FAR_OUT, AuxiliaryFamily.G_PRIME_SUBST, 1)
+    assert len(sizes) <= 1
+
+
+def test_floor_leaves_zeros_and_brackets_unchanged(monkeypatch):
+    sizes = _spy_blocks(monkeypatch)
+    with_floor = find_zeros(FLOOR_BELOW, AuxiliaryFamily.ALEX_H, 2)
+    points_with_floor = sum(sizes)
+    sizes.clear()
+    monkeypatch.setattr(zeros, "_SEQUENCES", {})
+    monkeypatch.setattr(zeros, "_euler_rayleigh_floor", lambda *args: 0.0)
+    from_origin = find_zeros(FLOOR_BELOW, AuxiliaryFamily.ALEX_H, 2)
+    assert with_floor == from_origin
+    assert points_with_floor < sum(sizes)
+
+
+@pytest.mark.parametrize("params", [*default_grid()[::27], StruveParams(
+    q=1, p=0.0, b=2.0, c=1.0, delta=1.0), FAR_OUT, FLOOR_BELOW])
+def test_floor_is_the_largest_double_below_the_first_zero(params):
+    # In the family's variable (x^2 for W and W'), the floor is the largest
+    # double at most 1/S_1, exactly, and lies below the first bracket.
+    for family in AuxiliaryFamily:
+        series = family_series(params, family)
+        floor = zeros._euler_rayleigh_floor(series, family)
+        (sigma,), den = series.power_sums(1)
+        power = 2 if family in (AuxiliaryFamily.W, AuxiliaryFamily.W_PRIME) else 1
+        assert Fraction(floor) ** power <= Fraction(den, sigma)
+        assert Fraction(math.nextafter(floor, math.inf)) ** power > Fraction(den, sigma)
+        try:
+            lo = find_zeros(params, family, 1).brackets[0][0]
+        except ScanOverflowError:
+            assert floor >= zeros.MAX_ABSCISSA
+        else:
+            assert floor < lo
